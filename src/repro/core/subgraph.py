@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..ir.cells import CellType, input_ports, output_ports
 from ..ir.module import Cell
 from ..ir.signals import SigBit
 from ..ir.walker import NetIndex
@@ -60,8 +59,9 @@ def extract_subgraph(
     caps the raw neighbourhood before reduction so pathological fanout hubs
     cannot blow up the analysis.
     """
-    sigmap = index.sigmap
-    target = sigmap.map_bit(target)
+    map_bit = index.sigmap.map_bit
+    cell_bits = index.cell_bits
+    target = map_bit(target)
 
     # 1. undirected BFS over cells, up to k cell hops from the target bit
     cells: Dict[str, Cell] = {}
@@ -83,11 +83,11 @@ def extract_subgraph(
                 if len(cells) >= max_gates:
                     break
                 cells[cell.name] = cell
-                for other in cell.input_bits() + cell.output_bits():
-                    cbit = sigmap.map_bit(other)
-                    if not cbit.is_const and cbit not in seen_bits:
-                        seen_bits.add(cbit)
-                        next_frontier.append(cbit)
+                for group in cell_bits(cell):
+                    for cbit in group:
+                        if cbit not in seen_bits and not cbit.is_const:
+                            seen_bits.add(cbit)
+                            next_frontier.append(cbit)
             if len(cells) >= max_gates:
                 next_frontier = []
                 break
@@ -106,8 +106,7 @@ def extract_subgraph(
     seen_inputs: Set[SigBit] = set()
     relevant_known: Dict[SigBit, bool] = {}
 
-    def classify(bit: SigBit) -> None:
-        cbit = sigmap.map_bit(bit)
+    def classify(cbit: SigBit) -> None:
         if cbit.is_const or cbit in seen_inputs:
             return
         driver = index.comb_driver(cbit)
@@ -120,12 +119,12 @@ def extract_subgraph(
             input_bits.append(cbit)
 
     for cell in kept:
-        for bit in cell.input_bits():
-            classify(bit)
+        for cbit in cell_bits(cell)[0]:
+            classify(cbit)
     classify(target)
     # facts about internal signals also constrain the sub-graph
     for bit, value in known.items():
-        cbit = sigmap.map_bit(bit)
+        cbit = map_bit(bit)
         if cbit in seen_bits and cbit not in seen_inputs:
             driver = index.comb_driver(cbit)
             if driver is not None and driver.name in kept_names:
@@ -164,13 +163,15 @@ def _reduce_by_support(
     The kept cells are returned in topological order (fanin before fanout)
     so simulation and inference can evaluate them in a single sweep.
     """
-    sigmap = index.sigmap
+    map_bit = index.sigmap.map_bit
+    cell_bits = index.cell_bits
+    comb_driver = index.comb_driver
 
     # roots of the cones that matter: the target plus known internal bits
-    roots: List[SigBit] = [sigmap.map_bit(target)]
+    roots: List[SigBit] = [map_bit(target)]
     for bit in known:
-        cbit = sigmap.map_bit(bit)
-        driver = index.comb_driver(cbit)
+        cbit = map_bit(bit)
+        driver = comb_driver(cbit)
         if driver is not None and driver.name in cells:
             roots.append(cbit)
 
@@ -179,13 +180,13 @@ def _reduce_by_support(
     visited: Set[SigBit] = set(worklist)
     while worklist:
         bit = worklist.pop()
-        driver = index.comb_driver(bit)
+        driver = comb_driver(bit)
         if driver is None or driver.name not in cells:
             continue
         if driver.name not in kept_names:
             kept_names.add(driver.name)
-            for fbit in (sigmap.map_bit(b) for b in driver.input_bits()):
-                if not fbit.is_const and fbit not in visited:
+            for fbit in cell_bits(driver)[0]:
+                if fbit not in visited and not fbit.is_const:
                     visited.add(fbit)
                     worklist.append(fbit)
 
@@ -195,19 +196,19 @@ def _reduce_by_support(
 
     def visit(cell: Cell) -> None:
         stack: List[Tuple[Cell, Iterable[SigBit]]] = [
-            (cell, iter(cell.input_bits()))
+            (cell, iter(cell_bits(cell)[0]))
         ]
         state[cell.name] = 0
         while stack:
             current, it = stack[-1]
             advanced = False
             for bit in it:
-                driver = index.comb_driver(sigmap.map_bit(bit))
+                driver = comb_driver(bit)
                 if driver is None or driver.name not in kept_names:
                     continue
                 if state.get(driver.name) is None:
                     state[driver.name] = 0
-                    stack.append((driver, iter(driver.input_bits())))
+                    stack.append((driver, iter(cell_bits(driver)[0])))
                     advanced = True
                     break
             if not advanced:

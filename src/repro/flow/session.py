@@ -101,7 +101,7 @@ def _pending_recorder(result: PassResult) -> Callable[[ModuleEdit], None]:
     def record(edit: ModuleEdit) -> None:
         base(edit)
         if edit.kind == ir_module.CELL_REMOVED and edit.ports:
-            outs = set(output_ports(edit.cell.type))
+            outs = output_ports(edit.cell.type)
             for pname, spec in edit.ports.items():
                 if pname in outs:
                     for bit in spec:

@@ -190,12 +190,23 @@ def port_spec(ctype: CellType) -> Tuple[Tuple[str, PortDir, object], ...]:
     return _PORT_SPECS[ctype]
 
 
+#: per-type input/output port names, in port order (computed once)
+_INPUT_PORTS: Dict[CellType, Tuple[str, ...]] = {
+    t: tuple(n for n, d, _w in ports if d is PortDir.IN)
+    for t, ports in _PORT_SPECS.items()
+}
+_OUTPUT_PORTS: Dict[CellType, Tuple[str, ...]] = {
+    t: tuple(n for n, d, _w in ports if d is PortDir.OUT)
+    for t, ports in _PORT_SPECS.items()
+}
+
+
 def input_ports(ctype: CellType) -> Tuple[str, ...]:
-    return tuple(n for n, d, _w in _PORT_SPECS[ctype] if d is PortDir.IN)
+    return _INPUT_PORTS[ctype]
 
 
 def output_ports(ctype: CellType) -> Tuple[str, ...]:
-    return tuple(n for n, d, _w in _PORT_SPECS[ctype] if d is PortDir.OUT)
+    return _OUTPUT_PORTS[ctype]
 
 
 def expected_width(ctype: CellType, port: str, width: int, n: int = 1) -> int:

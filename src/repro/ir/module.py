@@ -549,27 +549,34 @@ class SigMap:
                     self.add(lbit, rbit)
 
     def _find(self, bit: SigBit) -> SigBit:
-        root = bit
-        while root in self._parent:
-            root = self._parent[root]
+        parent = self._parent
+        root = parent.get(bit)
+        if root is None:
+            return bit  # already canonical: the common case on hot paths
+        up = parent.get(root)
+        while up is not None:
+            root = up
+            up = parent.get(root)
         # path compression
-        while bit in self._parent:
-            self._parent[bit], bit = root, self._parent[bit]
+        while bit is not root:
+            up = parent[bit]
+            parent[bit] = root
+            bit = up
         return root
+
+    #: the canonical representative of a bit
+    map_bit = _find
 
     def add(self, a: SigBit, b: SigBit) -> None:
         """Declare bits ``a`` and ``b`` to be the same net."""
         ra, rb = self._find(a), self._find(b)
-        if ra == rb:
+        if ra is rb:
             return
         # prefer constants as representatives, then keep rb (the driver side)
         if ra.is_const:
             self._parent[rb] = ra
         else:
             self._parent[ra] = rb
-
-    def map_bit(self, bit: SigBit) -> SigBit:
-        return self._find(bit)
 
     def __len__(self) -> int:
         """Number of union-find entries (bits with a non-trivial parent)."""
@@ -589,7 +596,7 @@ class SigMap:
         new_parent: Dict[SigBit, SigBit] = {}
         for bit in live:
             root = self._find(bit)
-            if root != bit:
+            if root is not bit:
                 new_parent[bit] = root
         dropped = len(self._parent) - len(new_parent)
         self._parent = new_parent

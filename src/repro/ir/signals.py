@@ -53,10 +53,12 @@ class Wire:
     """A named, fixed-width vector of nets inside a module.
 
     Wires are identity-hashed; names are unique within their module.  The
-    ``port_input``/``port_output`` flags mark module ports.
+    ``port_input``/``port_output`` flags mark module ports.  Each wire owns
+    the interned :class:`SigBit` objects of its bits (built on first use).
     """
 
-    __slots__ = ("name", "width", "port_input", "port_output", "attributes")
+    __slots__ = ("name", "width", "port_input", "port_output", "attributes",
+                 "_bits")
 
     def __init__(
         self,
@@ -74,16 +76,31 @@ class Wire:
         self.port_input = port_input
         self.port_output = port_output
         self.attributes: dict = {}
+        #: the interned bits, LSB first (lazy; see :func:`_wire_bits`)
+        self._bits: Optional[Tuple["SigBit", ...]] = None
 
     @property
     def is_port(self) -> bool:
         return self.port_input or self.port_output
 
     def __getitem__(self, index) -> Union["SigBit", "SigSpec"]:
-        return SigSpec.from_wire(self)[index]
+        bits = _wire_bits(self)
+        if isinstance(index, slice):
+            return SigSpec(bits[index])
+        return bits[index]
 
     def __len__(self) -> int:
         return self.width
+
+    def __reduce__(self):
+        # rebuilt through the constructor: the default slots protocol would
+        # hand out the wire before its fields are set, and unpickling its
+        # bits (SigBit.__reduce__) needs a complete wire to intern into
+        return (Wire, (self.name, self.width, self.port_input,
+                       self.port_output), self.attributes)
+
+    def __setstate__(self, attributes: dict) -> None:
+        self.attributes = attributes
 
     def __repr__(self) -> str:
         kind = "input " if self.port_input else "output " if self.port_output else ""
@@ -93,30 +110,41 @@ class Wire:
 class SigBit:
     """A single-bit signal: one bit of a wire, or a constant :class:`State`.
 
-    ``SigBit`` is immutable and cheap to hash; constant bits are interned
-    (``BIT0``, ``BIT1``, ``BITX``).
+    ``SigBit`` is immutable and **interned**: ``SigBit(w, i)`` always
+    returns the same object for the same wire and offset (held in the
+    wire's bit table), and constant bits are the singletons ``BIT0``,
+    ``BIT1`` and ``BITX``.  Bit equality is therefore object identity and
+    hashing is the default identity hash, so bit-keyed dicts and sets
+    probe at C speed.  Iteration order of such sets depends on object
+    addresses, so any iteration that affects output must be sorted.
     """
 
-    __slots__ = ("wire", "offset", "state", "_hash")
+    __slots__ = ("wire", "offset", "state")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         wire: Optional[Wire] = None,
         offset: int = 0,
         state: Optional[State] = None,
-    ):
+    ) -> "SigBit":
         if (wire is None) == (state is None):
             raise ValueError("SigBit needs exactly one of wire or state")
-        if wire is not None and not (0 <= offset < wire.width):
+        if state is not None:
+            return _STATE_TO_BIT[state]
+        if not (0 <= offset < wire.width):
             raise IndexError(
                 f"bit offset {offset} out of range for {wire.name}[{wire.width}]"
             )
-        object.__setattr__(self, "wire", wire)
-        object.__setattr__(self, "offset", offset if wire is not None else 0)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(
-            self, "_hash", hash((id(wire), offset)) if wire is not None else hash(state)
-        )
+        return _wire_bits(wire)[offset]
+
+    @classmethod
+    def _make(cls, wire: Optional[Wire], offset: int,
+              state: Optional[State]) -> "SigBit":
+        bit = object.__new__(cls)
+        object.__setattr__(bit, "wire", wire)
+        object.__setattr__(bit, "offset", offset)
+        object.__setattr__(bit, "state", state)
+        return bit
 
     def __setattr__(self, name, value):
         raise AttributeError("SigBit is immutable")
@@ -134,20 +162,10 @@ class SigBit:
             raise ValueError(f"{self!r} is not a constant bit")
         return self.state
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SigBit):
-            return NotImplemented
-        if self.state is not None or other.state is not None:
-            return self.state is other.state
-        return self.wire is other.wire and self.offset == other.offset
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        # immutability blocks the default slots state protocol (setattr
-        # raises), so pickling goes back through the constructor; wire
-        # identity within one pickled graph is preserved by the pickle memo
+        # back through the constructor, which interns the bit on the
+        # (unpickled or deep-copied) wire; wire identity within one pickled
+        # graph is preserved by the pickle memo
         return (SigBit, (self.wire, self.offset, self.state))
 
     def __repr__(self) -> str:
@@ -158,9 +176,18 @@ class SigBit:
         return f"<{self.wire.name}[{self.offset}]>"
 
 
-BIT0 = SigBit(state=State.S0)
-BIT1 = SigBit(state=State.S1)
-BITX = SigBit(state=State.Sx)
+def _wire_bits(wire: Wire) -> Tuple[SigBit, ...]:
+    """The interned bits of ``wire``, LSB first (built on first use)."""
+    bits = wire._bits
+    if bits is None:
+        make = SigBit._make
+        bits = wire._bits = tuple(make(wire, i, None) for i in range(wire.width))
+    return bits
+
+
+BIT0 = SigBit._make(None, 0, State.S0)
+BIT1 = SigBit._make(None, 0, State.S1)
+BITX = SigBit._make(None, 0, State.Sx)
 
 _STATE_TO_BIT = {State.S0: BIT0, State.S1: BIT1, State.Sx: BITX}
 
@@ -204,7 +231,7 @@ class SigSpec:
 
     @staticmethod
     def from_wire(wire: Wire) -> "SigSpec":
-        return SigSpec(SigBit(wire, i) for i in range(wire.width))
+        return SigSpec(_wire_bits(wire))
 
     @staticmethod
     def from_const(value: int, width: int) -> "SigSpec":

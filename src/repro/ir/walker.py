@@ -50,6 +50,10 @@ class DriverConflictError(Exception):
 #: a driver/reader record: (cell, port name, bit offset in that port)
 Entry = Tuple[Cell, str, int]
 
+#: a :meth:`NetIndex.cell_bits` memo entry:
+#: (cell version, alias epoch, canonical input bits, canonical output bits)
+CellBitsEntry = Tuple[int, int, Tuple[SigBit, ...], Tuple[SigBit, ...]]
+
 
 class NetIndex:
     """Bit-level view of a module, built once and queried many times."""
@@ -69,6 +73,12 @@ class NetIndex:
         #: canonical bits observable at module outputs (alias-closed)
         self._output_bits: Set[SigBit] = set()
         self._topo_cache: Optional[List[Cell]] = None
+        #: cell -> (cell.version, alias epoch, canonical ins, canonical outs);
+        #: see :meth:`cell_bits`
+        self._cell_bits: Dict[Cell, CellBitsEntry] = {}
+        #: bumped whenever the canonical mapping may change (alias merges,
+        #: union-find rebuilds and compactions), invalidating every memo entry
+        self._alias_epoch = 0
         self._frozen = 0
         self._pending: List[ModuleEdit] = []
         #: generation-compaction bookkeeping for the live alias union-find
@@ -178,6 +188,7 @@ class NetIndex:
         self._extra_drivers = {}
         self._output_bits = set()
         self._topo_cache = None
+        self._cell_bits = {}
         self._build()
         self._note_generation_reset()
 
@@ -192,6 +203,7 @@ class NetIndex:
         keeps them honest.
         """
         self.compactions += 1
+        self._alias_epoch += 1
         edge_cache = getattr(self.module, "_edge_cache", None)
         if edge_cache is not None:
             edge_cache.invalidate()
@@ -206,16 +218,18 @@ class NetIndex:
             self._index_port(edit.cell, edit.port, edit.new, is_out)
         elif kind == module_mod.CELL_ADDED:
             self._topo_cache = None
-            outs = set(output_ports(edit.cell.type))
+            outs = output_ports(edit.cell.type)
             for pname, spec in edit.ports.items():
                 self._index_port(edit.cell, pname, spec, pname in outs)
         elif kind == module_mod.CELL_REMOVED:
             self._topo_cache = None
-            outs = set(output_ports(edit.cell.type))
+            self._cell_bits.pop(edit.cell, None)
+            outs = output_ports(edit.cell.type)
             for pname, spec in edit.ports.items():
                 self._deindex_port(edit.cell, pname, spec, pname in outs)
         elif kind == module_mod.CONNECTED:
             self._topo_cache = None
+            self._alias_epoch += 1
             for lbit, rbit in zip(edit.lhs, edit.rhs):
                 self._merge(lbit, rbit)
         elif kind == module_mod.WIRE_ADDED:
@@ -363,11 +377,11 @@ class NetIndex:
         """Union two alias classes and re-key their map entries."""
         ra = self.sigmap.map_bit(lbit)
         rb = self.sigmap.map_bit(rbit)
-        if ra == rb:
+        if ra is rb:
             return
         self.sigmap.add(ra, rb)
         root = self.sigmap.map_bit(ra)
-        loser = rb if root == ra else ra
+        loser = rb if root is ra else ra
         if root.is_const:
             # constants carry no reader lists (matches the snapshot builder);
             # a surviving driver entry becomes a visible conflict
@@ -445,11 +459,43 @@ class NetIndex:
             count += 1
         return count
 
-    def cell_fanin_bits(self, cell: Cell) -> List[SigBit]:
-        return [self.sigmap.map_bit(b) for b in cell.input_bits()]
+    def cell_bits(
+        self, cell: Cell
+    ) -> Tuple[Tuple[SigBit, ...], Tuple[SigBit, ...]]:
+        """Canonical ``(input bits, output bits)`` of ``cell``, in port order.
 
-    def cell_fanout_bits(self, cell: Cell) -> List[SigBit]:
-        return [self.sigmap.map_bit(b) for b in cell.output_bits()]
+        Constants are included.  Memoized per cell and keyed by
+        ``cell.version`` (bumped on every ``set_port``) and the index's
+        alias epoch (bumped when an alias merge, rebuild or compaction may
+        change canonical representatives); entries of removed cells are
+        dropped.  Like every query, the result is mapped through the
+        index's current union-find, so inside :meth:`frozen` it reflects
+        the cell's current ports against the pre-edit alias snapshot.
+        """
+        entry = self._cell_bits.get(cell)
+        if entry is not None and entry[0] == cell.version \
+                and entry[1] == self._alias_epoch:
+            return entry[2], entry[3]
+        map_bit = self.sigmap.map_bit
+        connections = cell.connections
+        ins = tuple(
+            map_bit(bit)
+            for pname in input_ports(cell.type)
+            for bit in connections[pname]
+        )
+        outs = tuple(
+            map_bit(bit)
+            for pname in output_ports(cell.type)
+            for bit in connections[pname]
+        )
+        self._cell_bits[cell] = (cell.version, self._alias_epoch, ins, outs)
+        return ins, outs
+
+    def cell_fanin_bits(self, cell: Cell) -> Tuple[SigBit, ...]:
+        return self.cell_bits(cell)[0]
+
+    def cell_fanout_bits(self, cell: Cell) -> Tuple[SigBit, ...]:
+        return self.cell_bits(cell)[1]
 
     # -- traversal -----------------------------------------------------------
 

@@ -226,7 +226,7 @@ def _touch_recorder(result: PassResult) -> Callable[[ModuleEdit], None]:
         elif kind == module_mod.CELL_ADDED:
             cell = edit.cell
             result.touched_cells.add(cell.name)
-            outs = set(output_ports(cell.type))
+            outs = output_ports(cell.type)
             for pname, spec in edit.ports.items():
                 if pname in outs:
                     frontier(spec)

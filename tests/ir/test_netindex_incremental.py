@@ -44,6 +44,9 @@ def assert_matches_fresh(module, live):
     assert [c.name for c in live.topo_cells()] == [
         c.name for c in fresh.topo_cells()
     ]
+    # the per-cell canonical-bit memo agrees with a fresh mapping
+    for cell in module.cells.values():
+        assert live.cell_bits(cell) == fresh.cell_bits(cell)
     # output-bit closure and source classification agree on every port bit
     for wire in module.wires.values():
         for i in range(wire.width):
@@ -252,3 +255,149 @@ def test_clone_does_not_share_live_index():
     # editing the clone must not disturb the original's live index
     clone.remove_cell(sorted(clone.cells)[0])
     assert_matches_fresh(module, live)
+
+
+class TestCellBitsMemo:
+    """``NetIndex.cell_bits`` is memoized per cell; every edit that can
+    change a cell's canonical bits must refresh or drop its entry."""
+
+    @staticmethod
+    def _module():
+        from repro.ir import Circuit
+
+        c = Circuit("memo")
+        a, b = c.input("a", 2), c.input("b", 2)
+        c.output("y", c.and_(a, b))
+        module = c.module
+        return module, next(iter(module.cells.values()))
+
+    def test_set_port_refreshes_entry(self):
+        module, cell = self._module()
+        live = module.net_index()
+        a, b = module.wire("a"), module.wire("b")
+        assert live.cell_bits(cell)[0] == tuple(a[0:2]) + tuple(b[0:2])
+        cell.set_port("A", b)
+        assert live.cell_bits(cell)[0] == tuple(b[0:2]) * 2
+        assert live.cell_fanin_bits(cell) == live.cell_bits(cell)[0]
+
+    def test_alias_connect_refreshes_entry(self):
+        module, cell = self._module()
+        live = module.net_index()
+        floating = module.add_wire("floating", 2)
+        cell.set_port("B", floating)
+        assert live.cell_bits(cell)[0][2:] == tuple(floating[0:2])
+        # the cell's version is unchanged; only the alias epoch moves
+        version = cell.version
+        module.connect(floating, module.wire("a"))
+        assert cell.version == version
+        assert live.cell_bits(cell)[0][2:] == tuple(module.wire("a")[0:2])
+        assert live.cell_bits(cell) == NetIndex(module).cell_bits(cell)
+
+    def test_remove_cell_drops_entry(self):
+        module, cell = self._module()
+        live = module.net_index()
+        live.cell_bits(cell)
+        assert cell in live._cell_bits
+        module.remove_cell(cell)
+        assert cell not in live._cell_bits
+
+    def test_rebuild_drops_entries(self):
+        module, cell = self._module()
+        live = module.net_index()
+        live.cell_bits(cell)
+        live._rebuild()
+        assert not live._cell_bits
+        assert live.cell_bits(cell) == NetIndex(module).cell_bits(cell)
+
+    def test_large_frozen_burst_rebuild_keeps_memo_current(self):
+        module = random_module(7100, width=4, n_units=3)
+        live = module.net_index()
+        for cell in module.cells.values():
+            live.cell_bits(cell)
+        rebuilds = live.compactions
+        sources = _source_bits(module)
+        rng = random.Random(7100)
+        with live.frozen():
+            for _ in range(max(64, 2 * len(module.cells)) + 1):
+                _random_edit(rng, module, sources)
+        assert live.compactions > rebuilds  # took the rebuild fallback
+        assert_matches_fresh(module, live)
+
+    def test_compaction_keeps_memo_current(self):
+        module, cell = self._module()
+        live = module.net_index()
+        for i in range(2000):
+            live.cell_bits(cell)
+            # add-alias-kill churn: the shape that fills the union-find
+            # with dead entries until compaction fires
+            dead = module.add_cell(CellType.NOT, A=module.wire("a"))
+            tmp = module.add_wire(f"tmp{i}", 2)
+            module.connect(tmp, dead.connections["Y"])
+            module.remove_cell(dead)
+            module.replace_connections(
+                (lhs, rhs) for lhs, rhs in module.connections
+                if tmp not in lhs.wires()
+            )
+            module.remove_wire(tmp)
+        assert live.compactions > 0
+        assert live.cell_bits(cell) == NetIndex(module).cell_bits(cell)
+        # churned cells were removed, so none of them is still memoized
+        assert set(live._cell_bits) <= set(module.cells.values())
+
+
+def _subgraph_view(sub):
+    return (
+        sub.target,
+        [cell.name for cell in sub.cells],
+        sub.inputs,
+        sub.known,
+        sub.gates_before,
+        sub.gates_after,
+    )
+
+
+def _late_alias(rng, module, sources):
+    """A cell reading a floating wire, queried, then the wire is aliased:
+    the cell's canonical inputs change without any ``set_port``."""
+    width = rng.choice([1, 2])
+    floating = module.add_wire(width=width)
+    other = SigSpec([rng.choice(sources) for _ in range(width)])
+    cell = module.add_cell(CellType.OR, A=floating, B=other)
+    module.net_index().cell_bits(cell)
+    module.connect(floating, SigSpec([rng.choice(sources) for _ in range(width)]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_live_extract_subgraph_matches_fresh_index(seed):
+    """After random live edits, sub-graph extraction on the (memo-warm)
+    live index equals extraction on a freshly built index."""
+    from repro.core.subgraph import extract_subgraph
+
+    module = random_module(7200 + seed, width=4, n_units=3)
+    rng = random.Random(seed)
+    live = module.net_index()
+    sources = _source_bits(module)
+
+    def targets():
+        bits = []
+        for name in sorted(module.cells):
+            cell = module.cells[name]
+            if cell.type in (CellType.MUX, CellType.PMUX):
+                bits.extend(cell.connections["S"])
+        return bits[::2][:10]
+
+    for _burst in range(6):
+        for target in targets():
+            extract_subgraph(live, target, {}, k=3)
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.25:
+                _late_alias(rng, module, sources)
+            else:
+                _random_edit(rng, module, sources)
+        fresh = NetIndex(module)
+        for target in targets():
+            known = {fresh.canonical(bit): bool(i & 1)
+                     for i, bit in enumerate(rng.sample(sources, 2))}
+            assert _subgraph_view(
+                extract_subgraph(live, target, known, k=3)
+            ) == _subgraph_view(extract_subgraph(fresh, target, known, k=3))

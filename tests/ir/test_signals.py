@@ -76,6 +76,25 @@ class TestSigBit:
         with pytest.raises(IndexError):
             SigBit(Wire("a", 2), 5)
 
+    def test_wire_bits_are_interned(self):
+        w = Wire("a", 3)
+        assert SigBit(w, 1) is SigBit(w, 1)
+        assert w[1] is SigBit(w, 1) and w[-1] is SigBit(w, 2)
+        assert SigSpec.from_wire(w)[0] is SigBit(w, 0)
+        assert SigBit(w, 0) is not SigBit(Wire("a", 3), 0)
+
+    def test_const_constructor_returns_singletons(self):
+        assert SigBit(state=State.S1) is BIT1
+        assert SigBit(state=State.S0) is BIT0
+        assert SigBit(state=State.Sx) is BITX
+
+    def test_wire_index_out_of_range(self):
+        w = Wire("a", 2)
+        with pytest.raises(IndexError):
+            w[2]
+        with pytest.raises(IndexError):
+            SigBit(w, -1)
+
     def test_const_value(self):
         assert BIT1.const_value() is State.S1
         with pytest.raises(ValueError):
@@ -175,3 +194,55 @@ class TestSigSpec:
         piece = spec[start:start + length]
         expected = (value >> start) & ((1 << len(piece)) - 1)
         assert piece.const_value() == expected
+
+
+def _small_module():
+    from repro.ir import CellType, Module
+
+    module = Module("m")
+    a = module.add_wire("a", 2, port_input=True)
+    a.attributes["src"] = "m.v:1"
+    b = module.add_wire("b", 2, port_input=True)
+    y = module.add_wire("y", 2, port_output=True)
+    cell = module.add_cell(CellType.AND, name="g", A=a, B=b)
+    module.connect(y, cell.connections["Y"])
+    return module
+
+
+class TestInterningAcrossCopies:
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_copies_intern_on_new_wires(self, how):
+        import copy
+        import pickle
+
+        module = _small_module()
+        if how == "pickle":
+            dup = pickle.loads(pickle.dumps(module))
+        else:
+            dup = copy.deepcopy(module)
+        a = dup.wires["a"]
+        assert a is not module.wires["a"]
+        assert a.attributes == {"src": "m.v:1"}
+        assert a.width == 2 and a.port_input
+        bits = dup.cells["g"].connections["A"]
+        assert all(bit is SigBit(a, i) for i, bit in enumerate(bits))
+        lhs, rhs = dup.connections[0]
+        assert lhs[0] is SigBit(dup.wires["y"], 0)
+        assert rhs[0] is dup.cells["g"].connections["Y"][0]
+
+    def test_constants_survive_pickle_and_deepcopy(self):
+        import copy
+        import pickle
+
+        for bit in (BIT0, BIT1, BITX):
+            assert pickle.loads(pickle.dumps(bit)) is bit
+            assert copy.deepcopy(bit) is bit
+
+    def test_clone_bits_are_distinct(self):
+        module = _small_module()
+        clone = module.clone()
+        old = module.cells["g"].connections["A"]
+        new = clone.cells["g"].connections["A"]
+        assert all(x is not y for x, y in zip(old, new))
+        assert new[0] is SigBit(clone.wires["a"], 0)
+        assert clone.wires["a"].attributes == {"src": "m.v:1"}
