@@ -17,7 +17,7 @@ the paper's "exclude flip-flop gates" accounting.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..ir import celllib
 from ..ir.module import Cell, Module
@@ -114,42 +114,64 @@ class AigMapper(celllib.LoweringEmitter):
     # -- internals ---------------------------------------------------------------
 
     def _declare_inputs(self) -> None:
-        sigmap = self.index.sigmap
-        declared = set()
+        for cbit, name in aig_sources(self.index):
+            preset = self.preset_inputs.get(name)
+            self.bit_lit[cbit] = (
+                preset if preset is not None else self.aig.add_input(name)
+            )
 
-        def declare(bit: SigBit, name: str) -> None:
-            cbit = sigmap.map_bit(bit)
-            if cbit.is_const or cbit in declared:
-                return
-            if self.index.comb_driver(cbit) is None:
-                declared.add(cbit)
-                preset = self.preset_inputs.get(name)
-                self.bit_lit[cbit] = (
-                    preset if preset is not None else self.aig.add_input(name)
-                )
 
-        for wire in self.module.wires.values():
-            if wire.port_input:
-                for i in range(wire.width):
-                    declare(SigBit(wire, i), f"{wire.name}[{i}]")
-        for cell in self.module.cells.values():
-            for pname in celllib.spec_for(cell.type).state_ports:
-                for i, bit in enumerate(cell.connections[pname]):
-                    declare(bit, f"{cell.name}.{pname}[{i}]")
-        # undriven instance binding bits (child-output nets) are sources
-        # with deterministic boundary names, shared by the miter builder
-        for instance in self.module.instances.values():
-            for pname in sorted(instance.connections):
-                for i, bit in enumerate(instance.connections[pname]):
-                    declare(bit, f"{instance.name}.{pname}[{i}]")
-        # any remaining undriven bits read by cells or outputs
-        for cell in self.module.cells.values():
-            for pname in celllib.spec_for(cell.type).input_ports:
-                for bit in cell.connections[pname]:
-                    declare(bit, repr(bit))
-        for wire in self.module.outputs:
+def aig_sources(
+    index: NetIndex, boundary_only: bool = False
+) -> List[Tuple[SigBit, str]]:
+    """The AIG inputs of ``index.module``: ``(canonical bit, name)`` pairs.
+
+    In declaration order: primary inputs, state-cell outputs (every
+    registry spec's ``state_ports``), undriven instance binding bits, then
+    any other undriven bit read by a cell or an output.  The first three
+    are *boundary* sources whose names survive optimization; the miter
+    builder shares exactly those (``boundary_only=True``) between its two
+    modules.  The rest are anonymous nets named by their canonical bit,
+    which flow passes may re-root, so they are never paired by name.
+    """
+    module = index.module
+    sigmap = index.sigmap
+    sources: List[Tuple[SigBit, str]] = []
+    declared = set()
+
+    def declare(bit: SigBit, name: str) -> None:
+        cbit = sigmap.map_bit(bit)
+        if cbit.is_const or cbit in declared:
+            return
+        if index.comb_driver(cbit) is None:
+            declared.add(cbit)
+            sources.append((cbit, name))
+
+    for wire in module.wires.values():
+        if wire.port_input:
             for i in range(wire.width):
                 declare(SigBit(wire, i), f"{wire.name}[{i}]")
+    for cell in module.cells.values():
+        for pname in celllib.spec_for(cell.type).state_ports:
+            for i, bit in enumerate(cell.connections[pname]):
+                declare(bit, f"{cell.name}.{pname}[{i}]")
+    # undriven instance binding bits (child-output nets) are sources
+    # with deterministic boundary names, shared by the miter builder
+    for instance in module.instances.values():
+        for pname in sorted(instance.connections):
+            for i, bit in enumerate(instance.connections[pname]):
+                declare(bit, f"{instance.name}.{pname}[{i}]")
+    if boundary_only:
+        return sources
+    # any remaining undriven bits read by cells or outputs
+    for cell in module.cells.values():
+        for pname in celllib.spec_for(cell.type).input_ports:
+            for bit in cell.connections[pname]:
+                declare(bit, repr(bit))
+    for wire in module.outputs:
+        for i in range(wire.width):
+            declare(SigBit(wire, i), f"{wire.name}[{i}]")
+    return sources
 
 
 def aig_map(module: Module, index: Optional[NetIndex] = None) -> AIG:

@@ -249,6 +249,8 @@ def cmd_equiv(args: argparse.Namespace) -> int:
         print(f"EQUIVALENT (proved by {result.method})")
         return 0
     print(f"NOT EQUIVALENT (found by {result.method})")
+    if result.output is not None:
+        print(f"  differing output: {result.output}")
     for name, value in sorted(result.counterexample.items()):
         print(f"  {name} = {value}")
     return 1

@@ -3,7 +3,19 @@
 ``check_equivalence(gold, gate)`` mirrors the paper's "all results passed
 equivalence checking": a fast random-simulation filter finds most
 non-equivalences; the SAT check on the miter then proves equivalence or
-produces a concrete counterexample assignment.
+produces a concrete counterexample assignment.  Either way a refutation
+names the first compared output (in the gold module's output order) that
+differs as :attr:`EquivResult.output`.
+
+The SAT proof runs one compared output at a time
+(:meth:`~repro.sat.oracle.SatOracle.solve_miter`): outputs whose XOR
+structural hashing already folded to constant 0 are skipped, and each
+remaining output gets a fresh solver holding only its own fanin cone, so
+no solve branches on logic that cannot affect it.  The first satisfiable
+output stops the search and its model is the counterexample.
+``max_conflicts`` is one budget for the whole miter — each output solve
+gets what the earlier ones left — so a budgeted check never spends more
+than ``max_conflicts`` conflicts in total.
 
 The SAT step runs through a :class:`~repro.sat.oracle.SatOracle` — pass
 one in (``oracle=...``) to accumulate query/conflict counters across many
@@ -61,6 +73,10 @@ class EquivResult:
     #: True when the solver exhausted its conflict budget: neither proven
     #: equivalent nor refuted (no counterexample exists in this result)
     undecided: bool = False
+    #: name of the first compared output (e.g. ``"y[3]"``, ``"r0.D[2]"``)
+    #: that differs under ``counterexample``; None unless a simulation or
+    #: SAT refutation produced one
+    output: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -114,7 +130,12 @@ def check_equivalence(
                 name: (masks[i] >> vector) & 1
                 for i, name in enumerate(aig.input_names)
             }
-            return EquivResult(False, method="sim", counterexample=cex)
+            output = next(
+                name for name, lit in aig.outputs if (lit_val(lit) >> vector) & 1
+            )
+            return EquivResult(
+                False, method="sim", counterexample=cex, output=output
+            )
 
     # 2. SAT proof on the miter
     if miter_lit >> 1 == 0:
@@ -124,7 +145,9 @@ def check_equivalence(
     if oracle is None:
         oracle = SatOracle()
     conflicts_before = oracle.stats.conflicts
-    verdict, model = oracle.solve_miter(aig, miter_lit, max_conflicts)
+    verdict, model, output = oracle.solve_miter(
+        aig, aig.outputs, max_conflicts
+    )
     conflicts = oracle.stats.conflicts - conflicts_before
     if verdict is None:
         return EquivResult(
@@ -141,7 +164,8 @@ def check_equivalence(
     if cec_key is not None:
         cache.store(cec_key, False)
     return EquivResult(
-        False, method="sat", counterexample=cex, sat_conflicts=conflicts
+        False, method="sat", counterexample=cex, sat_conflicts=conflicts,
+        output=output,
     )
 
 

@@ -1,9 +1,11 @@
 """Miter construction for combinational equivalence checking.
 
 Two modules with the same port signature are mapped into one shared AIG
-(inputs unified by name), corresponding output bits are XORed and the XORs
-are OR-reduced into a single *miter* output: the circuits are equivalent iff
-that output is constant 0.
+(inputs unified by name) and corresponding output bits are XORed.  Each
+XOR stays a named AIG output (the compared output's name, in the gold
+module's output order), so the SAT step can prove the outputs one cone at
+a time; their OR is the *miter* literal: the circuits are equivalent iff
+it is constant 0.
 
 DFF handling: dff ``Q`` outputs become shared miter inputs and dff ``D``
 inputs become compared outputs (keyed by cell name), so two netlists are
@@ -14,13 +16,11 @@ keep registers in place.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..aig.aig import AIG
-from ..aig.aigmap import AigMapper
-from ..ir.cells import CellType
+from ..aig.aigmap import AigMapper, aig_sources
 from ..ir.module import Module
-from ..ir.signals import SigBit
 from ..ir.walker import NetIndex
 
 
@@ -34,34 +34,18 @@ def _io_signature(module: Module) -> Tuple[Dict[str, int], Dict[str, int]]:
     return ins, outs
 
 
-def _input_bit_names(module: Module, index: NetIndex) -> List[str]:
-    """Names of all source bits as AigMapper will declare them."""
-    names: List[str] = []
-    for wire in module.inputs:
-        names.extend(f"{wire.name}[{i}]" for i in range(wire.width))
-    for cell in module.cells.values():
-        if cell.type is CellType.DFF:
-            names.extend(f"{cell.name}.Q[{i}]" for i in range(cell.width))
-    # undriven instance binding bits (child-output nets) must be *shared*
-    # miter inputs, or identical parent logic reading them would compare
-    # two independent free variables and spuriously differ
-    sigmap = index.sigmap
-    for instance in module.instances.values():
-        for pname in sorted(instance.connections):
-            for i, bit in enumerate(instance.connections[pname]):
-                cbit = sigmap.map_bit(bit)
-                if not cbit.is_const and index.comb_driver(cbit) is None:
-                    names.append(f"{instance.name}.{pname}[{i}]")
-    return names
-
-
 def build_miter(gold: Module, gate: Module) -> Tuple[AIG, int]:
-    """Build the miter AIG.  Returns ``(aig, miter_output_literal)``.
+    """Build the miter AIG.  Returns ``(aig, miter_literal)``.
 
-    Raises :class:`PortMismatchError` when I/O signatures differ.  Extra
-    internal sources (undriven wires) in either module become independent
-    miter inputs, which is conservative: equivalence then must hold for all
-    their values.
+    ``aig.outputs`` holds one ``(name, xor_literal)`` pair per compared
+    output bit; ``miter_literal`` is their OR.  Raises
+    :class:`PortMismatchError` when I/O signatures differ.  Boundary
+    sources (:func:`~repro.aig.aigmap.aig_sources` with
+    ``boundary_only=True``: ports, state-cell outputs, undriven instance
+    bindings) are shared by name, so identical logic reading them compares
+    one free variable, never two that spuriously differ; a boundary source
+    only one module has stays an independent input, which is
+    conservative: equivalence then must hold for all its values.
     """
     gold_ins, gold_outs = _io_signature(gold)
     gate_ins, gate_outs = _io_signature(gate)
@@ -76,9 +60,10 @@ def build_miter(gold: Module, gate: Module) -> Tuple[AIG, int]:
 
     aig = AIG()
     shared: Dict[str, int] = {}
-    for name in _input_bit_names(gold, gold_index) + _input_bit_names(gate, gate_index):
-        if name not in shared:
-            shared[name] = aig.add_input(name)
+    for index in (gold_index, gate_index):
+        for _bit, name in aig_sources(index, boundary_only=True):
+            if name not in shared:
+                shared[name] = aig.add_input(name)
 
     gold_mapper = AigMapper(gold, gold_index, aig=aig, input_lits=shared)
     gold_mapper.run()
@@ -94,9 +79,7 @@ def build_miter(gold: Module, gate: Module) -> Tuple[AIG, int]:
     if missing:
         raise PortMismatchError(f"output bit sets differ on: {sorted(missing)}")
 
-    xors = [
-        aig.xor(gold_outputs[name], gate_outputs[name]) for name in gold_outputs
-    ]
-    miter_lit = aig.or_reduce(xors)
-    aig.add_output(miter_lit, "miter")
+    for name in gold_outputs:
+        aig.add_output(aig.xor(gold_outputs[name], gate_outputs[name]), name)
+    miter_lit = aig.or_reduce([lit for _name, lit in aig.outputs])
     return aig, miter_lit

@@ -733,8 +733,9 @@ class Session:
             )
             if not result.equivalent:
                 raise EquivalenceError(
-                    f"{spec.label} broke {mod.name!r}: "
-                    f"counterexample {result.counterexample}"
+                    f"{spec.label} broke {mod.name!r}: output "
+                    f"{result.output} differs under counterexample "
+                    f"{result.counterexample}"
                 )
             checked = True
         self.events.emit(

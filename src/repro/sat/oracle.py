@@ -47,7 +47,9 @@ pass's :class:`~repro.opt.pass_base.PassResult` stats, which flow through
 
 The oracle itself never looks at path semantics: callers hand it a cell
 set, facts, and a question.  :meth:`decide` packages the redundancy pass's
-two-polarity protocol; :meth:`solve_miter` serves the equivalence checker.
+two-polarity protocol; :meth:`solve_miter` serves the equivalence checker,
+proving each compared miter output with a fresh solver over that output's
+fanin cone alone.
 """
 
 from __future__ import annotations
@@ -115,6 +117,19 @@ class Decision(NamedTuple):
 
     value: Optional[bool]
     dead: bool = False
+
+
+class MiterVerdict(NamedTuple):
+    """Outcome of :meth:`SatOracle.solve_miter`.
+
+    ``verdict`` True = some compared output can differ (``model`` maps AIG
+    input variables to the distinguishing values, ``output`` names that
+    output), False = proven equivalent, None = conflict budget exhausted.
+    """
+
+    verdict: Optional[bool]
+    model: Dict[int, bool]
+    output: Optional[str]
 
 
 class _Context:
@@ -238,11 +253,10 @@ class SatOracle:
 
     def _solve(
         self,
-        context: _Context,
+        solver: Solver,
         assumptions: List[int],
         max_conflicts: Optional[int],
     ) -> Optional[bool]:
-        solver = context.solver
         before_conflicts = solver.stats.conflicts
         before_learned = len(solver.learned)
         verdict = solver.solve(assumptions, max_conflicts=max_conflicts)
@@ -324,7 +338,7 @@ class SatOracle:
         assumptions = self._assumption_lits(context, known)
         target_lit = context.encoder.lit(target)
         assumptions.append(target_lit if value else -target_lit)
-        verdict = self._solve(context, assumptions, max_conflicts)
+        verdict = self._solve(context.solver, assumptions, max_conflicts)
         # decided verdicts are structural facts; budget-outs are not (the
         # conflict count depends on the variable order this sub-graph's
         # encoding happened to produce), so they memoize per identity only
@@ -391,7 +405,7 @@ class SatOracle:
             context.diff_lits[(a, b)] = diff
         assumptions = self._assumption_lits(context, known)
         assumptions.append(diff)
-        sat = self._solve(context, assumptions, max_conflicts)
+        sat = self._solve(context.solver, assumptions, max_conflicts)
         verdict = None if sat is None else not sat
         self._remember(key, verdict)
         return verdict
@@ -428,33 +442,53 @@ class SatOracle:
     def solve_miter(
         self,
         aig: Any,
-        miter_lit: int,
+        outputs: Sequence[Tuple[str, int]],
         max_conflicts: Optional[int] = None,
-    ) -> Tuple[Optional[bool], Dict[int, bool]]:
-        """Solve one miter output of an AIG.
+    ) -> MiterVerdict:
+        """Prove a miter silent one compared output at a time.
 
-        Returns ``(verdict, model)``: verdict True = the miter can fire
-        (circuits differ — ``model`` maps AIG input variables 1..n to the
-        distinguishing values), False = proven silent (equivalent), None =
-        conflict budget exhausted.  Counters accumulate on this oracle, so
-        a harness running many checks gets one session total.
+        ``outputs`` are the miter's ``(name, xor_literal)`` pairs (the
+        outputs :func:`~repro.equiv.miter.build_miter` registers on
+        ``aig``).  Outputs folded to constant 0 are skipped; each other
+        output, in order, gets a fresh solver holding only its own fanin
+        cone and is solved under its literal.  The first SAT stops the
+        search: verdict True (circuits differ), ``output`` names the
+        differing output, and ``model`` maps every AIG input variable
+        1..n to its distinguishing value (inputs outside that output's
+        cone are 0).  Verdict False = every output proven silent
+        (equivalent).
+
+        ``max_conflicts`` is one budget for the whole miter: each solve
+        gets what the earlier ones left, and once it is spent the verdict
+        is None (undecided), so the conflicts spent never exceed it.
+        ``queries`` counts one per miter; ``solver_calls``, ``conflicts``
+        and ``learned_clauses`` accumulate per output solve, so a harness
+        running many checks gets one session total.
         """
         # local import: avoids a package cycle (aig.cnf imports sat.solver)
         from ..aig.cnf import aig_lit_to_solver_lit, aig_to_solver
 
         self.stats.queries += 1
-        solver, var_map = aig_to_solver(aig)
-        assumption = aig_lit_to_solver_lit(miter_lit, var_map, var_map[0])
-        before_conflicts = solver.stats.conflicts
-        verdict = solver.solve([assumption], max_conflicts=max_conflicts)
-        self.stats.solver_calls += 1
-        self.stats.conflicts += solver.stats.conflicts - before_conflicts
-        self.stats.learned_clauses += len(solver.learned)
-        model: Dict[int, bool] = {}
-        if verdict:
-            for var in range(1, aig.num_inputs + 1):
-                model[var] = bool(solver.model_value(var_map[var]))
-        return verdict, model
+        remaining = max_conflicts
+        for name, lit in outputs:
+            if lit == 0:  # XOR folded to constant 0: silent by construction
+                continue
+            if remaining is not None and remaining <= 0:
+                return MiterVerdict(None, {}, None)
+            solver, var_map = aig_to_solver(aig, [lit])
+            assumption = aig_lit_to_solver_lit(lit, var_map, var_map[0])
+            verdict = self._solve(solver, [assumption], remaining)
+            if remaining is not None:
+                remaining -= solver.stats.conflicts
+            if verdict is None:
+                return MiterVerdict(None, {}, None)
+            if verdict:
+                model = {
+                    var: bool(var_map[var] and solver.model_value(var_map[var]))
+                    for var in range(1, aig.num_inputs + 1)
+                }
+                return MiterVerdict(True, model, name)
+        return MiterVerdict(False, {}, None)
 
 
-__all__ = ["Decision", "OracleStats", "SatOracle", "signature_of"]
+__all__ = ["Decision", "MiterVerdict", "OracleStats", "SatOracle", "signature_of"]

@@ -221,20 +221,22 @@ def test_solve_miter_budget_and_model():
             c.output("y", c.eq(c.sub(a, b), 0))
         return c.module
 
-    aig, miter = build_miter(build(True), build(False))
+    aig, _miter = build_miter(build(True), build(False))
     oracle = SatOracle()
-    verdict, model = oracle.solve_miter(aig, miter)
+    verdict, model, _output = oracle.solve_miter(aig, aig.outputs)
     assert verdict is False and model == {}  # equivalent: miter silent
     assert oracle.stats.solver_calls == 1
     # budget of one conflict cannot settle it
-    verdict, model = oracle.solve_miter(aig, miter, max_conflicts=1)
+    verdict, model, _output = oracle.solve_miter(
+        aig, aig.outputs, max_conflicts=1
+    )
     assert verdict is None
 
     # non-equivalent pair yields a model over the shared inputs
     c = Circuit("m")
     a, b = c.input("a", 8), c.input("b", 8)
     c.output("y", c.ne(a, b))
-    aig2, miter2 = build_miter(build(True), c.module)
-    verdict, model = oracle.solve_miter(aig2, miter2)
+    aig2, _miter2 = build_miter(build(True), c.module)
+    verdict, model, _output = oracle.solve_miter(aig2, aig2.outputs)
     assert verdict is True
     assert set(model) == set(range(1, aig2.num_inputs + 1))
