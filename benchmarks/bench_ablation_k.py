@@ -9,7 +9,7 @@ misses eliminations; growing k recovers them at increasing analysis cost.
 import pytest
 
 from repro.aig import aig_map
-from repro.core import SmartlyOptions, run_smartly
+from repro.api import FlowSpec, Session
 from repro.workloads import build_case
 
 from conftest import get_module
@@ -17,7 +17,7 @@ from conftest import get_module
 
 def _optimize_with_k(k: int):
     module = get_module("wb_conmax").clone()
-    run_smartly(module, k=k, rebuild=False)
+    Session(module).run(FlowSpec.preset("smartly-sat", k=k))
     return aig_map(module).num_ands
 
 

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.aig import aig_map
-from repro.core import run_smartly
+from repro.api import FlowSpec, Session
 from repro.ir import Circuit
 from repro.workloads import InputPool
 
@@ -49,7 +49,7 @@ def _xor_dependent_module(n_units=6):
 def _run(config):
     module = _xor_dependent_module()
     start = time.perf_counter()
-    run_smartly(module, rebuild=False, **config)
+    Session(module).run(FlowSpec.preset("smartly-sat", **config))
     runtime = time.perf_counter() - start
     return aig_map(module).num_ands, runtime
 

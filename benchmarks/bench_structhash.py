@@ -1,21 +1,21 @@
 """Structural signatures: cross-module cache hits and warm-started suites.
 
-PR 2/PR 4 memoized the decision ladder by identity ``(cell name,
-version)`` signatures, so structurally identical sub-graphs from
-different modules — or from cloned suite jobs — could never share a
-cache entry, and process-executor suite workers always started cold.
-This benchmark proves the canonical structural-hashing subsystem
-(:mod:`repro.ir.struct_hash`) fixes both without changing any result:
+The decision ladder memoizes by canonical name-free structural
+signatures (:mod:`repro.ir.struct_hash`), so structurally identical
+sub-graphs from different modules — or from cloned suite jobs — share
+cache entries, and process-executor suite workers start warm.  This
+benchmark proves it without any result changing:
 
-1. **Transparency** — byte-identical optimized areas with structural
-   keys on vs off, for all 5 presets, across a corpus of random
-   workload modules.  Asserted unconditionally.
+1. **Transparency** — byte-identical optimized areas between the default
+   and the no-memo reference (no result cache, fresh solver per SAT
+   query), for all 5 presets, across a corpus of random workload
+   modules.  Asserted unconditionally.
 2. **Cross-module sharing** — on a design of renamed clones (every wire
    and cell renamed, sort order scrambled), the session-wide
    :class:`~repro.core.cache.ResultCache` answers at least 30% of a
-   clone run's lookups from entries another module created.  With
-   identity keys that rate is *structurally* zero — the keys embed wire
-   identities — which the benchmark also asserts exactly.
+   clone run's lookups from entries another module created.  The
+   no-sharing side is the same clone run in a fresh session, whose hits
+   are all self-hits.
 3. **Warm-started workers** — a process-executor suite over renamed
    clones runs at least 20% faster when workers are seeded with the
    parent session's exported snapshot (sub-graph resolutions plus
@@ -38,6 +38,9 @@ from repro.api import Design, Session, SmartlyOptions
 from repro.equiv.differential import random_module
 from repro.flow.spec import PRESET_NAMES
 from repro.ir.struct_hash import renamed_copy
+
+#: the reference that memoizes nothing: no result cache, no SAT oracle
+NO_MEMO = SmartlyOptions(use_result_cache=False, use_oracle=False)
 
 #: base workload: one seed, several renamed clones of it
 BASE_SEED = 2101
@@ -68,25 +71,25 @@ def build_clone(index: int, seed: int = BASE_SEED, width: int = WIDTH,
 
 
 def measure_parity(preset: str, seeds=PARITY_SEEDS):
-    """Optimized areas for one preset, structural keys on vs off."""
-    on_areas, off_areas = {}, {}
+    """Optimized areas for one preset, default vs the no-memo reference."""
+    default_areas, reference_areas = {}, {}
     for seed in seeds:
-        on = Session(
+        default = Session(
             random_module(seed, width=WIDTH, n_units=N_UNITS),
-            options=SmartlyOptions(structural_keys=True),
         ).run(preset)
-        off = Session(
+        reference = Session(
             random_module(seed, width=WIDTH, n_units=N_UNITS),
-            options=SmartlyOptions(structural_keys=False),
+            options=NO_MEMO,
         ).run(preset)
-        on_areas[seed] = on.optimized_area
-        off_areas[seed] = off.optimized_area
-    return {"preset": preset, "on": on_areas, "off": off_areas,
-            "identical": on_areas == off_areas}
+        default_areas[seed] = default.optimized_area
+        reference_areas[seed] = reference.optimized_area
+    return {"preset": preset, "default": default_areas,
+            "reference": reference_areas,
+            "identical": default_areas == reference_areas}
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_structural_keys_area_parity(preset):
+def test_no_memo_reference_area_parity(preset):
     row = measure_parity(preset)
     assert row["identical"], row
 
@@ -94,17 +97,15 @@ def test_structural_keys_area_parity(preset):
 # -- 2. cross-module hit rate --------------------------------------------------
 
 
-def measure_cross_module_hits(structural: bool, flow: str = "smartly"):
+def measure_cross_module_hits(flow: str = "smartly"):
     """Hit traffic of clone runs in a primed session vs fresh sessions.
 
     The base module's run primes the session cache; each renamed clone
     then runs in the *same* session.  A clone run's hits split into
     self-hits (fixpoint rounds re-asking its own queries — measured by
-    running the same clone in a fresh session) and *cross-module* hits
-    answered from other modules' entries.  With identity keys the cross
-    component is structurally zero.
+    running the same clone in a fresh session, the no-sharing side) and
+    *cross-module* hits answered from other modules' entries.
     """
-    opts = SmartlyOptions(structural_keys=structural)
     design = Design()
     design.add_module(build_base(), top=True)
     clones = [build_clone(i) for i in range(N_CLONES)]
@@ -112,7 +113,7 @@ def measure_cross_module_hits(structural: bool, flow: str = "smartly"):
     baselines = [build_clone(i) for i in range(N_CLONES)]
     for clone in clones:
         design.add_module(clone)
-    session = Session(design, options=opts)
+    session = Session(design)
     session.run(flow, module="base")  # prime
 
     def delta(after, before, suffix):
@@ -121,7 +122,7 @@ def measure_cross_module_hits(structural: bool, flow: str = "smartly"):
             for key, value in after.items() if key.endswith(suffix)
         )
 
-    cross_hits = lookups = 0
+    primed_hits = fresh_hits = cross_hits = lookups = 0
     for clone, baseline in zip(clones, baselines):
         before = dict(session._result_cache.counters)
         session.run(flow, module=clone.name)
@@ -129,18 +130,21 @@ def measure_cross_module_hits(structural: bool, flow: str = "smartly"):
         hits = delta(after, before, "_hits")
         misses = delta(after, before, "_misses")
 
-        fresh = Session(baseline, options=opts)
+        fresh = Session(baseline)
         fresh.run(flow)
         self_hits = sum(
             value for key, value in fresh._result_cache.counters.items()
             if key.endswith("_hits")
         )
+        primed_hits += hits
+        fresh_hits += self_hits
         cross_hits += hits - self_hits
         lookups += hits + misses
     rate = cross_hits / lookups if lookups else 0.0
     return {
-        "structural": structural,
         "flow": flow,
+        "primed_hits": primed_hits,
+        "fresh_hits": fresh_hits,
         "cross_hits": cross_hits,
         "lookups": lookups,
         "cross_hit_rate_pct": round(100.0 * rate, 2),
@@ -148,26 +152,18 @@ def measure_cross_module_hits(structural: bool, flow: str = "smartly"):
 
 
 def test_cross_module_hit_rate(table_report):
-    structural = measure_cross_module_hits(True)
-    identity = measure_cross_module_hits(False)
+    row = measure_cross_module_hits()
     lines = [
-        f"{'Keys':<12}{'cross hits':>12}{'lookups':>10}{'rate':>9}",
-        "-" * 43,
+        f"primed-session hits: {row['primed_hits']}",
+        f"fresh-session hits:  {row['fresh_hits']} (self-hits only)",
+        f"cross-module hits:   {row['cross_hits']} of {row['lookups']} "
+        f"lookups = {row['cross_hit_rate_pct']:.1f}% (need >= 30%)",
     ]
-    for row in (identity, structural):
-        label = "structural" if row["structural"] else "identity"
-        lines.append(
-            f"{label:<12}{row['cross_hits']:>12}{row['lookups']:>10}"
-            f"{row['cross_hit_rate_pct']:>8.1f}%"
-        )
-    lines.append("-" * 43)
-    lines.append("identity must be exactly 0%, structural >= 30%")
     table_report.add(
         "Structural keys — cross-module hit rate on renamed clones",
         "\n".join(lines),
     )
-    assert identity["cross_hits"] == 0, identity
-    assert structural["cross_hit_rate_pct"] >= 30.0, structural
+    assert row["cross_hit_rate_pct"] >= 30.0, row
 
 
 # -- 3. warm-started process workers -------------------------------------------
@@ -188,7 +184,7 @@ def measure_warm_start(flow: str = "smartly", max_workers: int = 2):
     cases = suite_clone_cases()
 
     def run_suite(warm_start: bool):
-        session = Session(options=SmartlyOptions(structural_keys=True))
+        session = Session()
         # prime the parent: one suite job over the base case fills the
         # cache with the sub-graph resolutions and the suite_job entry
         # every clone job can replay
@@ -280,13 +276,9 @@ def main(argv=None) -> int:
     print(f"area parity over {len(PRESET_NAMES)} presets: "
           f"{'OK' if not mismatches else f'MISMATCH {mismatches}'}")
 
-    structural = measure_cross_module_hits(True)
-    identity = measure_cross_module_hits(False)
-    payload["cross_module"] = {"structural": structural,
-                               "identity": identity}
-    print(f"cross-module hit rate: identity "
-          f"{identity['cross_hit_rate_pct']}% (must be 0), structural "
-          f"{structural['cross_hit_rate_pct']}% (need >= "
+    cross = measure_cross_module_hits()
+    payload["cross_module"] = cross
+    print(f"cross-module hit rate: {cross['cross_hit_rate_pct']}% (need >= "
           f"{args.min_hit_rate}%)")
 
     warm = measure_warm_start()
@@ -302,9 +294,7 @@ def main(argv=None) -> int:
 
     if mismatches:
         return 1
-    if identity["cross_hits"] != 0:
-        return 1
-    if structural["cross_hit_rate_pct"] < args.min_hit_rate:
+    if cross["cross_hit_rate_pct"] < args.min_hit_rate:
         return 1
     if not warm["areas_identical"] or \
             warm["warm_suite_job_hits"] != warm["jobs"]:

@@ -81,10 +81,10 @@ def test_simulation_throughput(benchmark):
 
 def test_cec_throughput(benchmark):
     module = get_module("ac97_ctrl")
-    from repro.flow import optimize
+    from repro.api import Session
 
     optimized = module.clone()
-    optimize(optimized, "smartly")
+    Session(optimized).run("smartly")
 
     result = benchmark.pedantic(
         lambda: check_equivalence(module, optimized, random_vectors=64),

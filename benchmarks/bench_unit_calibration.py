@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.aig import aig_map
-from repro.core import run_smartly
+from repro.api import Session
 from repro.ir import Circuit
 from repro.opt import run_baseline_opt
 from repro.workloads import InputPool
@@ -31,9 +31,9 @@ def _measure(name, reps=3):
     run_baseline_opt(baseline)
     yosys_area = aig_map(baseline).num_ands
     sat = module.clone()
-    run_smartly(sat, rebuild=False)
+    Session(sat).run("smartly-sat")
     rebuild = module.clone()
-    run_smartly(rebuild, sat=False)
+    Session(rebuild).run("smartly-rebuild")
     return {
         "orig": orig // reps,
         "yosys": (orig - yosys_area) // reps,

@@ -10,7 +10,7 @@ Run:  python examples/riscv_decoder.py
 """
 
 from repro.aig import aig_map, aig_stats
-from repro.core import run_smartly
+from repro.api import Session
 from repro.equiv import check_equivalence
 from repro.frontend import compile_verilog
 from repro.opt import run_baseline_opt
@@ -73,7 +73,7 @@ def main():
     run_baseline_opt(baseline)
     print(f"Yosys baseline  : {aig_stats(aig_map(baseline))}")
 
-    run_smartly(module)
+    Session(module).run("smartly")
     print(f"smaRTLy         : {aig_stats(aig_map(module))}")
 
     result = check_equivalence(golden, module)

@@ -38,8 +38,7 @@ Subpackages
     Synthetic benchmark circuit generators (IWLS-2005/RISC-V models and the
     industrial benchmark).
 ``repro.flow``
-    FlowSpec/Session implementation, legacy ``run_flow`` shims, and the
-    Table II/III report renderers.
+    FlowSpec/Session implementation and the Table II/III report renderers.
 ``repro.events``
     Structured progress events (bus, log, print/JSON-lines observers).
 """

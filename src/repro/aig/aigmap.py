@@ -129,22 +129,27 @@ def aig_sources(
     In declaration order: primary inputs, state-cell outputs (every
     registry spec's ``state_ports``), undriven instance binding bits, then
     any other undriven bit read by a cell or an output.  The first three
-    are *boundary* sources whose names survive optimization; the miter
-    builder shares exactly those (``boundary_only=True``) between its two
-    modules.  The rest are anonymous nets named by their canonical bit,
-    which flow passes may re-root, so they are never paired by name.
+    are *boundary* sources (``boundary_only=True`` returns just those).
+    The rest are undriven internal nets, named by the smallest wire bit of
+    their alias class (:func:`alias_names`) rather than by the canonical
+    bit, which passes may re-root.
     """
     module = index.module
     sigmap = index.sigmap
     sources: List[Tuple[SigBit, str]] = []
     declared = set()
+    classes: Dict[SigBit, List[str]] = {}
 
-    def declare(bit: SigBit, name: str) -> None:
+    def declare(bit: SigBit, name: Optional[str] = None) -> None:
         cbit = sigmap.map_bit(bit)
         if cbit.is_const or cbit in declared:
             return
         if index.comb_driver(cbit) is None:
             declared.add(cbit)
+            if name is None:
+                if not classes:
+                    classes.update(alias_names(index))
+                name = classes.get(cbit, [repr(cbit)])[0]
             sources.append((cbit, name))
 
     for wire in module.wires.values():
@@ -167,11 +172,27 @@ def aig_sources(
     for cell in module.cells.values():
         for pname in celllib.spec_for(cell.type).input_ports:
             for bit in cell.connections[pname]:
-                declare(bit, repr(bit))
+                declare(bit)
     for wire in module.outputs:
         for i in range(wire.width):
-            declare(SigBit(wire, i), f"{wire.name}[{i}]")
+            declare(SigBit(wire, i))
     return sources
+
+
+def alias_names(index: NetIndex) -> Dict[SigBit, List[str]]:
+    """Canonical bit -> the sorted wire-bit names (``"w[3]"``) of its
+    alias class, over every wire of ``index.module``."""
+    members: Dict[SigBit, List[Tuple[str, int]]] = {}
+    sigmap = index.sigmap
+    for wire in index.module.wires.values():
+        for i in range(wire.width):
+            members.setdefault(sigmap.map_bit(SigBit(wire, i)), []).append(
+                (wire.name, i)
+            )
+    return {
+        root: [f"{name}[{i}]" for name, i in sorted(bits)]
+        for root, bits in members.items()
+    }
 
 
 def aig_map(module: Module, index: Optional[NetIndex] = None) -> AIG:

@@ -34,9 +34,6 @@ Everything a tool builder needs in one import::
   :mod:`repro.core.faults` chaos registry (:data:`~repro.core.faults.
   FAULT_NAMES`, :class:`~repro.core.faults.InjectedFault`) that proves
   the serve layer's survival invariants on demand.
-
-Legacy entry points (``repro.flow.run_flow``, ``repro.flow.optimize``,
-``repro.core.run_smartly``) remain as deprecated shims over this layer.
 """
 
 from .core.faults import (

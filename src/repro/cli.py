@@ -69,7 +69,7 @@ from .aig import aig_map, aig_stats, write_aiger
 from .api import PrintObserver, Session, suite_cases
 from .core.store import atomic_write_text
 from .flow import (
-    OPTIMIZERS,
+    PRESET_NAMES,
     render_industrial,
     render_table2,
     render_table3,
@@ -214,12 +214,11 @@ def cmd_aig(args: argparse.Namespace) -> int:
 
 def cmd_write(args: argparse.Namespace) -> int:
     """Optimize (optionally) and write structural Verilog or Yosys JSON."""
-    from .flow.pipeline import optimize
     from .ir import verilog_str, yosys_json_str
 
     module = _load_module(args.source, args.top)
     if args.optimizer != "none":
-        optimize(module, args.optimizer)
+        Session(module).run(args.optimizer)
     out_format = args.output_format
     if out_format == "auto":
         out_format = (
@@ -537,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("opt", help="optimize a Verilog file and report AIG area")
     p_opt.add_argument("source")
     p_opt.add_argument("--top", default=None)
-    p_opt.add_argument("--optimizer", choices=OPTIMIZERS, default="smartly")
+    p_opt.add_argument("--optimizer", choices=PRESET_NAMES, default="smartly")
     p_opt.add_argument("--check", action="store_true",
                        help="prove equivalence of the optimized netlist")
     p_opt.add_argument("--json", action="store_true",
@@ -596,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_write.add_argument("source")
     p_write.add_argument("--top", default=None)
-    p_write.add_argument("--optimizer", choices=OPTIMIZERS, default="smartly")
+    p_write.add_argument("--optimizer", choices=PRESET_NAMES, default="smartly")
     p_write.add_argument("-o", "--output", default=None)
     p_write.add_argument("--output-format", choices=("auto", "verilog", "json"),
                          default="auto",
@@ -685,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_hier.add_argument("source")
     p_hier.add_argument("--top", default=None)
-    p_hier.add_argument("--optimizer", choices=OPTIMIZERS, default="smartly")
+    p_hier.add_argument("--optimizer", choices=PRESET_NAMES, default="smartly")
     p_hier.add_argument("--check", action="store_true",
                         help="SAT-prove every module (replays included)")
     p_hier.add_argument("--json", action="store_true",

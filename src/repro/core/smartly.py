@@ -8,27 +8,19 @@ The paper evaluates three configurations (Table III):
   simplifies control ports, shrinking the sub-graphs the SAT stage must
   reason about, so Full typically beats the sum of its parts.
 
-``run_smartly`` wraps the passes with the same generic cleanup
-(``opt_expr`` / ``opt_merge`` / ``opt_clean``) used around the Yosys
-baseline, so area comparisons isolate the muxtree strategy itself.
+The ``smartly`` presets of :class:`~repro.flow.spec.FlowSpec` wrap the
+pass with the same generic cleanup (``opt_expr`` / ``opt_merge`` /
+``opt_clean``) used around the Yosys baseline, so area comparisons
+isolate the muxtree strategy itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..ir.module import Module
-from ..opt.opt_clean import OptClean
-from ..opt.opt_expr import OptExpr
-from ..opt.opt_merge import OptMerge
-from ..opt.pass_base import (
-    DirtySet,
-    Pass,
-    PassManager,
-    PassResult,
-    register_pass,
-)
+from ..opt.pass_base import DirtySet, Pass, PassResult, register_pass
 from ..sat.oracle import SatOracle
 from .cache import ResultCache
 from .redundancy import SatRedundancy
@@ -62,12 +54,6 @@ class SmartlyOptions:
     #: :class:`~repro.core.cache.ResultCache` keyed by sub-graph content
     #: signatures (False = recompute every outcome, the reference path)
     use_result_cache: bool = True
-    #: key the result cache and the oracle's decided verdicts by canonical
-    #: name-independent structural signatures
-    #: (:func:`repro.ir.struct_hash.struct_signature`), so isomorphic
-    #: sub-graphs from renamed modules, clones or other processes share
-    #: entries (False = the historic identity ``(name, version)`` keys)
-    structural_keys: bool = True
     #: largest case-selector width restructuring will tabulate
     max_sel_width: int = 12
     #: minimum estimated AIG gain before a tree is rebuilt
@@ -101,15 +87,20 @@ class Smartly(Pass):
         #: round (and, when a Session injects one, across runs and modules)
         self._result_cache: Optional[ResultCache] = None
 
+    @classmethod
+    def option_names(cls) -> Tuple[str, ...]:
+        """A script's ``smartly`` statement sets :class:`SmartlyOptions`
+        fields."""
+        return tuple(f.name for f in fields(SmartlyOptions))
+
     def attach_result_cache(self, cache: ResultCache) -> None:
         """Share an externally owned result cache (Session injection point).
 
-        Identity keys embed wire-identity bits and structural keys are
-        canonical, so either way one cache instance can serve any number
-        of modules without collisions; injecting the owning
-        :class:`~repro.flow.session.Session`'s instance makes outcomes
-        persist across runs and across the design's modules (and, with
-        structural keys, lets isomorphic sub-graphs share them).
+        Keys are canonical structural signatures, so one cache instance
+        can serve any number of modules without collisions; injecting the
+        owning :class:`~repro.flow.session.Session`'s instance makes
+        outcomes persist across runs and across the design's modules and
+        lets isomorphic sub-graphs share them.
         """
         self._result_cache = cache
 
@@ -140,16 +131,13 @@ class Smartly(Pass):
             )
         if opts.sat:
             if opts.use_result_cache and self._result_cache is None:
-                self._result_cache = ResultCache(
-                    structural=opts.structural_keys
-                )
+                self._result_cache = ResultCache()
             if opts.use_oracle and (
                 self._oracle is None or self._oracle.module is not module
             ):
                 cache = self._result_cache if opts.use_result_cache else None
                 self._oracle = SatOracle(
                     module,
-                    structural_keys=opts.structural_keys,
                     # share the cache's labeling memo: one canonicalization
                     # per sub-graph state serves rcache and verdict keys
                     struct_memo=(
@@ -170,7 +158,6 @@ class Smartly(Pass):
                     result_cache=(
                         self._result_cache if opts.use_result_cache else None
                     ),
-                    structural_keys=opts.structural_keys,
                 )
             )
         else:
@@ -196,25 +183,3 @@ class Smartly(Pass):
                     sub.touched_cells, sub.touched_bits,
                     sub.touched_fanin_bits,
                 ))
-
-
-def run_smartly(
-    module: Module,
-    options: Optional[SmartlyOptions] = None,
-    verbose: bool = False,
-    **overrides,
-) -> PassManager:
-    """Run the full smaRTLy flow (cleanup + selected stages) to a fixpoint.
-
-    .. deprecated::
-        Legacy entry point, kept as a thin shim.  New code should use
-        :class:`repro.api.Session` with the ``smartly`` preset (or a
-        custom :class:`repro.api.FlowSpec`), which adds baseline caching,
-        structured events and JSON-serializable reports.
-    """
-    smartly = Smartly(options, **overrides)
-    manager = PassManager(
-        [OptExpr(), OptMerge(), smartly, OptClean()], verbose=verbose
-    )
-    manager.run(module, fixpoint=True, max_rounds=smartly.options.max_rounds)
-    return manager

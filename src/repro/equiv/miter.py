@@ -16,10 +16,10 @@ keep registers in place.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..aig.aig import AIG
-from ..aig.aigmap import AigMapper, aig_sources
+from ..aig.aigmap import AigMapper, aig_sources, alias_names
 from ..ir.module import Module
 from ..ir.walker import NetIndex
 
@@ -39,12 +39,16 @@ def build_miter(gold: Module, gate: Module) -> Tuple[AIG, int]:
 
     ``aig.outputs`` holds one ``(name, xor_literal)`` pair per compared
     output bit; ``miter_literal`` is their OR.  Raises
-    :class:`PortMismatchError` when I/O signatures differ.  Boundary
-    sources (:func:`~repro.aig.aigmap.aig_sources` with
-    ``boundary_only=True``: ports, state-cell outputs, undriven instance
-    bindings) are shared by name, so identical logic reading them compares
-    one free variable, never two that spuriously differ; a boundary source
-    only one module has stays an independent input, which is
+    :class:`PortMismatchError` when I/O signatures differ.  Every source
+    of both modules is declared before the first AND node.  Boundary
+    sources (ports, state-cell outputs, undriven instance bindings; see
+    :func:`~repro.aig.aigmap.aig_sources`) are shared by name, so
+    identical logic reading them compares one free variable, never two
+    that spuriously differ.  An undriven internal net of the gate shares
+    the gold net whose alias class has a wire-bit name in common with its
+    own (:func:`~repro.aig.aigmap.alias_names`; passes merge and prune
+    alias classes but keep wire names), each gold net at most once.  A
+    source only one module has stays an independent input, which is
     conservative: equivalence then must hold for all its values.
     """
     gold_ins, gold_outs = _io_signature(gold)
@@ -59,18 +63,42 @@ def build_miter(gold: Module, gate: Module) -> Tuple[AIG, int]:
     gate_index = NetIndex(gate)
 
     aig = AIG()
-    shared: Dict[str, int] = {}
+    boundary: Dict[str, int] = {}
+    #: every wire-bit name of a gold undriven net -> that net's literal
+    gold_nets: Dict[str, int] = {}
+    claimed: Set[int] = set()  # gold nets already shared with the gate
+    input_lits: List[Dict[str, int]] = []
     for index in (gold_index, gate_index):
-        for _bit, name in aig_sources(index, boundary_only=True):
-            if name not in shared:
-                shared[name] = aig.add_input(name)
+        n_boundary = len(aig_sources(index, boundary_only=True))
+        names: Optional[Dict] = None
+        lits: Dict[str, int] = {}
+        for position, (bit, name) in enumerate(aig_sources(index)):
+            if position < n_boundary:
+                if name not in boundary:
+                    boundary[name] = aig.add_input(name)
+                lits[name] = boundary[name]
+                continue
+            if names is None:
+                names = alias_names(index)
+            members = names.get(bit, [name])
+            if index is gold_index:
+                lits[name] = aig.add_input(name)
+                gold_nets.update(dict.fromkeys(members, lits[name]))
+                continue
+            shared = [gold_nets[m] for m in members if m in gold_nets]
+            lit = next((g for g in shared if g not in claimed), None)
+            if lit is None:
+                lit = aig.add_input(name)
+            claimed.add(lit)
+            lits[name] = lit
+        input_lits.append(lits)
 
-    gold_mapper = AigMapper(gold, gold_index, aig=aig, input_lits=shared)
+    gold_mapper = AigMapper(gold, gold_index, aig=aig, input_lits=input_lits[0])
     gold_mapper.run()
     gold_outputs = {name: lit for name, lit in aig.outputs}
     aig.outputs.clear()
 
-    gate_mapper = AigMapper(gate, gate_index, aig=aig, input_lits=shared)
+    gate_mapper = AigMapper(gate, gate_index, aig=aig, input_lits=input_lits[1])
     gate_mapper.run()
     gate_outputs = {name: lit for name, lit in aig.outputs}
     aig.outputs.clear()

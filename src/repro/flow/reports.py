@@ -1,10 +1,9 @@
 """Text renderers for the paper's tables (measured vs published).
 
 Each renderer consumes ``results[case][flow] -> record`` where the record
-only needs ``original_area`` / ``optimized_area`` attributes — both the
-legacy :class:`~repro.flow.pipeline.FlowResult` and the Session API's
+only needs ``original_area`` / ``optimized_area`` attributes — a
 :class:`~repro.flow.session.RunReport` (and a whole
-:class:`~repro.flow.session.SuiteReport`, which is such a mapping) work.
+:class:`~repro.flow.session.SuiteReport`, which is such a mapping) works.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..workloads.iwls import PAPER_TABLE2, PaperRow
-from .pipeline import FlowResult
+from .session import RunReport
 
 
 def _pct(value: float) -> str:
@@ -20,7 +19,7 @@ def _pct(value: float) -> str:
 
 
 def render_table2(
-    results: Mapping[str, Mapping[str, FlowResult]],
+    results: Mapping[str, Mapping[str, RunReport]],
     paper: Optional[Mapping[str, PaperRow]] = None,
 ) -> str:
     """Table II: Original / Yosys / smaRTLy areas + reduction vs Yosys.
@@ -69,7 +68,7 @@ def render_table2(
 
 
 def render_table3(
-    results: Mapping[str, Mapping[str, FlowResult]],
+    results: Mapping[str, Mapping[str, RunReport]],
     paper: Optional[Mapping[str, PaperRow]] = None,
 ) -> str:
     """Table III: SAT-only / Rebuild-only / Full reductions vs Yosys."""
@@ -116,7 +115,7 @@ def render_table3(
     return "\n".join(lines)
 
 
-def render_industrial(results: Mapping[str, Mapping[str, FlowResult]]) -> str:
+def render_industrial(results: Mapping[str, Mapping[str, RunReport]]) -> str:
     """§IV-B summary: per-point and aggregate extra reduction vs Yosys."""
     lines = []
     header = (

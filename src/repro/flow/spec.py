@@ -22,10 +22,11 @@ Script grammar (statements split on ``;`` or newlines, ``#`` comments)::
     option    := KEY "=" VALUE | KEY         -- bare KEY means KEY=true
 
 Values parse as ``int``, ``float``, ``true``/``false`` booleans, or plain
-strings.  The five legacy optimizer names (``none``, ``yosys``,
-``smartly-sat``, ``smartly-rebuild``, ``smartly``) are available as named
-presets via :meth:`FlowSpec.preset`, constructed to match the historic
-``run_flow`` pipelines exactly.
+strings.  Options are checked against the pass at parse time (a
+``smartly`` statement takes the :class:`SmartlyOptions` fields).  The five
+optimizer names (``none``, ``yosys``, ``smartly-sat``,
+``smartly-rebuild``, ``smartly``) are available as named presets via
+:meth:`FlowSpec.preset`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.smartly import SmartlyOptions
-from ..opt.pass_base import Pass, known_passes, make_pass
+from ..opt.pass_base import Pass, known_passes, make_pass, pass_options
 
 #: statement name reserved for the repetition directive
 FIXPOINT_DIRECTIVE = "fixpoint"
@@ -76,6 +77,14 @@ class PassStep:
 
     @classmethod
     def make(cls, pass_name: str, **options: Any) -> "PassStep":
+        accepted = pass_options(pass_name)  # None: validate() reports it
+        if accepted is not None and not set(options) <= set(accepted):
+            unknown = sorted(set(options) - set(accepted))
+            raise FlowScriptError(
+                f"pass {pass_name!r} has no option "
+                f"{', '.join(map(repr, unknown))}; it accepts "
+                f"{', '.join(accepted) or 'no options'}"
+            )
         for key, value in options.items():
             if isinstance(value, str) and (
                 any(ch.isspace() for ch in value) or set(value) & set(";#='\"")
@@ -175,11 +184,10 @@ class FlowSpec:
         options: Optional[SmartlyOptions] = None,
         **overrides: Any,
     ) -> "FlowSpec":
-        """The five legacy optimizer pipelines as named flows.
+        """The five optimizer pipelines as named flows.
 
-        ``options``/``overrides`` tune the smaRTLy stage exactly like the
-        legacy ``run_flow(..., options=...)`` / ``run_smartly(**overrides)``
-        paths did; they are ignored by the ``none``/``yosys`` presets.
+        ``options``/``overrides`` tune the smaRTLy stage; they are ignored
+        by the ``none``/``yosys`` presets.
         """
         if name not in PRESETS:
             raise ValueError(
@@ -328,7 +336,7 @@ PRESETS = {
     ),
 }
 
-#: preset names in the legacy OPTIMIZERS order
+#: preset names in the paper's column order
 PRESET_NAMES = ("none", "yosys", "smartly-sat", "smartly-rebuild", "smartly")
 
 

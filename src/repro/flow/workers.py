@@ -129,8 +129,7 @@ def run_job(
         else:
             module = design.top
             report = _run_suite_job(
-                session, module, spec, check, engine,
-                memoize=session._result_cache.structural,
+                session, module, spec, check, engine, memoize=True
             )
             payload = report.to_dict()
             # the private session makes exactly one suite_job lookup

@@ -1,18 +1,12 @@
 """Canonical structural signatures: name-independent sub-graph hashing.
 
 The content-signature caches (:class:`~repro.core.cache.ResultCache`, the
-:class:`~repro.sat.oracle.SatOracle` verdict memo) key sub-graphs by the
-ordered ``(cell name, version)`` tuple of their cells plus canonical
-boundary bits.  Those keys are *identity* keys: they can never collide
-across modules, clones or runs — which also means structurally identical
-sub-graphs from a renamed module, a cloned suite job, or an independently
-built isomorphic region can never share a cache entry, and worker
-processes can never be warm-started from a parent's cache (identity keys
-embed live wire objects).
-
-:func:`struct_signature` closes that gap with a canonical, name-free
-encoding of a redundancy sub-graph, computed in two facts-independent
-phases plus a cheap per-query fold:
+:class:`~repro.sat.oracle.SatOracle` verdict memo) key sub-graphs by
+:func:`struct_signature`, a canonical, name-free encoding of a redundancy
+sub-graph: structurally identical sub-graphs from a renamed module, a
+cloned suite job, or an independently built isomorphic region share a
+cache entry, and worker processes warm-start from a parent's cache.  It
+is computed in two facts-independent phases plus a cheap per-query fold:
 
 * **labeling** — the sub-graph DAG is walked depth-first from the target
   bit, visiting each cell's input ports in declared port order and bits

@@ -27,9 +27,10 @@ engines byte-identical on final netlist areas.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir import module as module_mod
 from ..ir.module import Module, ModuleEdit
@@ -292,6 +293,14 @@ class Pass:
         result.runtime_s = time.perf_counter() - start
         return result
 
+    @classmethod
+    def option_names(cls) -> Tuple[str, ...]:
+        """The keyword options a flow script may set on this pass."""
+        return tuple(
+            param.name for param in inspect.signature(cls).parameters.values()
+            if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+        )
+
     def __repr__(self) -> str:
         return f"<Pass {self.name}>"
 
@@ -323,6 +332,14 @@ def make_pass(name: str, **options) -> Pass:
 def known_passes() -> List[str]:
     _ensure_registered()
     return sorted(_REGISTRY)
+
+
+def pass_options(name: str) -> Optional[Tuple[str, ...]]:
+    """Option names the registered pass ``name`` accepts (None: unknown
+    pass)."""
+    _ensure_registered()
+    factory = _REGISTRY.get(name)
+    return None if factory is None else factory.option_names()
 
 
 class PassManager:

@@ -29,8 +29,8 @@ that with persistent *contexts*:
   assumptions, polarity, budget)`` key, so repeated queries (the muxtree
   traversal asks about the same control bits along many paths, and
   fixpoint flows repeat whole pass invocations) skip the solver entirely.
-  With ``structural_keys=True`` (the default) *decided* verdicts are
-  additionally keyed by the canonical name-free structural signature
+  *Decided* verdicts are keyed by the canonical name-free structural
+  signature
   (:func:`repro.ir.struct_hash.struct_signature`), so isomorphic
   sub-graphs — renamed regions of the same module, or repeated instances
   of the same logic shape — share SAT/UNSAT answers.  A decided polarity
@@ -175,11 +175,10 @@ class SatOracle:
     :class:`~repro.core.smartly.Smartly` keep one oracle per module and
     rebuild it when handed a different one.  ``max_contexts`` bounds
     memory with LRU eviction of whole solver contexts.
-    ``structural_keys`` additionally memoizes decided :meth:`can_be`
-    verdicts under canonical name-free structural signatures so
-    isomorphic sub-graphs share answers (see the module docstring);
-    :meth:`equiv` keys stay identity-only either way (its two-target
-    queries serve the equivalence checker, which never crosses modules).
+    Decided :meth:`can_be` verdicts are memoized under canonical
+    name-free structural signatures so isomorphic sub-graphs share
+    answers (see the module docstring); :meth:`equiv` keys stay
+    identity-only (its two-target queries never cross modules).
 
     A *generation* is one optimization-pass invocation: callers must open
     one with :meth:`begin_pass` before querying.  Contexts and verdicts
@@ -193,7 +192,6 @@ class SatOracle:
         module: Any = None,
         max_contexts: int = 256,
         max_verdicts: int = 200_000,
-        structural_keys: bool = True,
         struct_memo: Optional[StructKeyMemo] = None,
     ):
         self.module = module
@@ -204,15 +202,13 @@ class SatOracle:
         self._contexts: "OrderedDict[SigBit, _Context]" = OrderedDict()
         self._verdicts: Dict[Tuple, Optional[bool]] = {}
         self._sigmap: Optional[SigMap] = None
-        #: canonical-labeling memo; None disables structural verdict
-        #: sharing (the pure-identity reference path).  Owners that also
-        #: hold a structural :class:`~repro.core.cache.ResultCache` pass
-        #: its memo in, so the same sub-graph is canonicalized once for
-        #: resolve keys, rung keys and verdict keys alike.
-        if struct_memo is not None:
-            self._struct_memo: Optional[StructKeyMemo] = struct_memo
-        else:
-            self._struct_memo = StructKeyMemo() if structural_keys else None
+        #: canonical-labeling memo.  Owners that also hold a
+        #: :class:`~repro.core.cache.ResultCache` pass its memo in, so the
+        #: same sub-graph is canonicalized once for resolve keys, rung
+        #: keys and verdict keys alike.
+        self._struct_memo = (
+            struct_memo if struct_memo is not None else StructKeyMemo()
+        )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -319,18 +315,16 @@ class SatOracle:
             value,
             max_conflicts,
         )
-        struct_key: Optional[Tuple] = None
-        if self._struct_memo is not None:
-            struct_key = (
-                self._struct_memo.signature(
-                    cells, target, known, inputs=inputs, sigmap=self._sigmap
-                ),
-                value,
-                max_conflicts,
-            )
-            if struct_key in self._verdicts:
-                self.stats.cache_hits += 1
-                return self._verdicts[struct_key]
+        struct_key = (
+            self._struct_memo.signature(
+                cells, target, known, inputs=inputs, sigmap=self._sigmap
+            ),
+            value,
+            max_conflicts,
+        )
+        if struct_key in self._verdicts:
+            self.stats.cache_hits += 1
+            return self._verdicts[struct_key]
         if ident_key in self._verdicts:
             self.stats.cache_hits += 1
             return self._verdicts[ident_key]
@@ -342,7 +336,7 @@ class SatOracle:
         # decided verdicts are structural facts; budget-outs are not (the
         # conflict count depends on the variable order this sub-graph's
         # encoding happened to produce), so they memoize per identity only
-        if struct_key is not None and verdict is not None:
+        if verdict is not None:
             self._remember(struct_key, verdict)
         else:
             self._remember(ident_key, verdict)

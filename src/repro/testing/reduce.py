@@ -300,11 +300,12 @@ class DeltaReducer:
         """Alias still-read, now-undriven bits to fresh input-port wires.
 
         Removing a driver must not leave *observed* bits dangling on
-        anonymous undriven nets: the AIG mapper names those by canonical
-        ``repr``, and flow passes may re-root the alias class, so a pure
-        rename would masquerade as a CEC mismatch.  Tethering each such
-        bit to a fresh port-input wire pins a stable, flow-proof input
-        name on the class (``_declare_inputs`` scans port wires first).
+        anonymous undriven nets: the miter pairs those only through wire
+        names their alias classes share, which flow passes may prune, so
+        a pure rename could masquerade as a CEC mismatch.  Tethering each
+        such bit to a fresh port-input wire pins a stable, flow-proof
+        input name on the class (``_declare_inputs`` scans port wires
+        first).
         """
         index = mod.net_index()
         for spec in specs:

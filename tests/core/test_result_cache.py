@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Session, SmartlyOptions
+from repro.api import PRESET_NAMES, Session, SmartlyOptions
 from repro.core.cache import ResultCache
 from repro.equiv.differential import random_module
 from repro.ir import Circuit
+
+#: the reference that memoizes nothing: no result cache, no SAT oracle
+NO_MEMO = SmartlyOptions(use_result_cache=False, use_oracle=False)
 
 
 def _chain_module(name="chain"):
@@ -69,7 +72,7 @@ class TestMergeCap:
     def test_merge_enforces_max_entries(self):
         """Regression: ``merge`` never evicted, so repeated warm-start
         merges grew the cache unboundedly past ``max_entries``."""
-        cache = ResultCache(max_entries=8, structural=True)
+        cache = ResultCache(max_entries=8)
         snapshot = {("sim", f"sig-{i}", ()): i for i in range(100)}
         added = cache.merge(snapshot)
         assert added == 100
@@ -79,7 +82,7 @@ class TestMergeCap:
         assert cache.lookup(("sim", "sig-99", ()))[0] is True
 
     def test_repeated_merges_stay_bounded(self):
-        cache = ResultCache(max_entries=16, structural=True)
+        cache = ResultCache(max_entries=16)
         for round_ in range(10):
             cache.merge({
                 ("sim", f"r{round_}-{i}", ()): i for i in range(16)
@@ -87,7 +90,7 @@ class TestMergeCap:
             assert len(cache) <= cache.max_entries
 
     def test_merge_below_cap_never_evicts(self):
-        cache = ResultCache(max_entries=100, structural=True)
+        cache = ResultCache(max_entries=100)
         cache.store(("sim", "mine", ()), 1)
         cache.merge({("sim", f"s{i}", ()): i for i in range(10)})
         assert len(cache) == 11
@@ -101,7 +104,7 @@ class TestConcurrentExport:
         ``RuntimeError: dictionary changed size during iteration``."""
         import threading
 
-        cache = ResultCache(structural=True)
+        cache = ResultCache()
         stop = threading.Event()
         errors = []
 
@@ -131,7 +134,7 @@ class TestConcurrentExport:
     def test_merge_during_concurrent_stores(self):
         import threading
 
-        cache = ResultCache(max_entries=4096, structural=True)
+        cache = ResultCache(max_entries=4096)
         stop = threading.Event()
         errors = []
 
@@ -161,7 +164,7 @@ class TestConcurrentExport:
 
 class TestExportMerge:
     def test_structural_cache_exports_and_merges(self):
-        cache = ResultCache(structural=True)
+        cache = ResultCache()
         cache.store(("sim", "sig-a", ()), True)
         cache.store(("infer", "sig-b", ()), (False, None))
         snapshot = cache.export()
@@ -169,7 +172,7 @@ class TestExportMerge:
             ("sim", "sig-a", ()): True,
             ("infer", "sig-b", ()): (False, None),
         }
-        other = ResultCache(structural=True)
+        other = ResultCache()
         other.store(("sim", "sig-a", ()), True)  # pre-existing entry wins
         added = other.merge(snapshot)
         assert added == 1
@@ -177,16 +180,11 @@ class TestExportMerge:
         assert other.counters["merged"] == 1
 
     def test_export_excludes_receiver_known_keys(self):
-        cache = ResultCache(structural=True)
+        cache = ResultCache()
         cache.store(("sim", "sig-a", ()), True)
         cache.store(("sim", "sig-b", ()), False)
         delta = cache.export(exclude={("sim", "sig-a", ())})
         assert delta == {("sim", "sig-b", ()): False}
-
-    def test_identity_cache_exports_nothing(self):
-        cache = ResultCache(structural=False)
-        cache.store(("sim", "k"), True)
-        assert cache.export() == {}
 
 
 class TestTransparency:
@@ -200,13 +198,15 @@ class TestTransparency:
             ).run(flow)
             assert on.optimized_area == off.optimized_area, (seed, flow)
 
-    @pytest.mark.parametrize("flow", ("smartly", "smartly-sat"))
-    def test_areas_identical_structural_keys_on_and_off(self, flow):
-        for seed in (301, 302):
+    @pytest.mark.parametrize("flow", PRESET_NAMES)
+    def test_areas_identical_to_no_memo_reference(self, flow):
+        """The default against the reference that memoizes nothing: no
+        result cache, fresh solver per SAT query."""
+        for seed in (301, 302, 303):
             on = Session(random_module(seed, width=4, n_units=3)).run(flow)
             off = Session(
                 random_module(seed, width=4, n_units=3),
-                options=SmartlyOptions(structural_keys=False),
+                options=NO_MEMO,
             ).run(flow)
             assert on.optimized_area == off.optimized_area, (seed, flow)
 
@@ -222,10 +222,10 @@ class TestTransparency:
 
 
 class TestStructuralSharing:
-    """Renamed clones share entries only under structural keys."""
+    """A renamed clone reuses the entries its base module left behind."""
 
     @staticmethod
-    def _clone_run_counters(structural):
+    def _clone_run_counters(primed):
         from repro.api import Design
         from repro.ir.struct_hash import renamed_copy
 
@@ -233,10 +233,9 @@ class TestStructuralSharing:
         clone = renamed_copy(base, prefix="z", name="clone")
         design = Design(base)
         design.add_module(clone)
-        session = Session(
-            design, options=SmartlyOptions(structural_keys=structural)
-        )
-        session.run("smartly", module="base")
+        session = Session(design)
+        if primed:
+            session.run("smartly", module="base")
         before = dict(session._result_cache.counters)
         report = session.run("smartly", module="clone")
         after = session._result_cache.counters
@@ -249,15 +248,15 @@ class TestStructuralSharing:
 
         return report, delta("_hits"), delta("_misses")
 
-    def test_structural_keys_share_across_renamed_clone_modules(self):
-        s_report, s_hits, s_misses = self._clone_run_counters(True)
-        i_report, i_hits, i_misses = self._clone_run_counters(False)
-        # both modes optimize the clone to the same area ...
-        assert s_report.optimized_area == i_report.optimized_area
-        # ... but structural keys answer clone queries from the base
+    def test_primed_session_shares_across_renamed_clone_modules(self):
+        p_report, p_hits, p_misses = self._clone_run_counters(True)
+        f_report, f_hits, f_misses = self._clone_run_counters(False)
+        # a primed and a fresh session optimize the clone to the same area
+        assert p_report.optimized_area == f_report.optimized_area
+        # ... but the primed one answers clone queries from the base
         # module's entries: strictly fewer misses, strictly more hits
-        assert s_misses < i_misses, (s_misses, i_misses)
-        assert s_hits > i_hits, (s_hits, i_hits)
+        assert p_misses < f_misses, (p_misses, f_misses)
+        assert p_hits > f_hits, (p_hits, f_hits)
 
 
 class TestReuse:

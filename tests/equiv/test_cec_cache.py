@@ -91,13 +91,16 @@ def test_verdicts_survive_export_merge():
     assert replay.equivalent and replay.method == "cached"
 
 
-def test_identity_mode_cache_is_ignored():
-    cache = ResultCache(structural=False)
-    gold, gate = _sum_module("left"), _sum_module("right")
-    check_equivalence(gold, gate, random_vectors=0, cache=cache)
-    result = check_equivalence(gold, gate, random_vectors=0, cache=cache)
-    assert result.method == "sat"  # no cec entries in identity mode
-    assert len(cache) == 0
+def test_distinct_miters_keep_distinct_entries():
+    """A proof for one gate never answers a different gate's check."""
+    cache = ResultCache()
+    gold = _sum_module("left")
+    check_equivalence(gold, _sum_module("right"), random_vectors=0,
+                      cache=cache)
+    result = check_equivalence(gold, _sum_module("wrong"), random_vectors=0,
+                               cache=cache)
+    assert not result.equivalent and result.method == "sat"
+    assert len(cache) == 2
 
 
 def test_budget_outcome_not_cached():

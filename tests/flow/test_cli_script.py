@@ -52,6 +52,14 @@ def test_script_subcommand_rejects_unknown_pass(verilog, capsys):
     assert "unknown pass 'nonsense'" in capsys.readouterr().err
 
 
+def test_script_subcommand_rejects_unknown_option(verilog, capsys):
+    rc = main(["script", "opt_expr; smartly bogus_knob=false", verilog])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'bogus_knob'" in err
+    assert "Traceback" not in err
+
+
 def test_script_subcommand_rejects_empty_script(verilog, capsys):
     rc = main(["script", "  ", verilog])
     assert rc == 2

@@ -1,8 +1,9 @@
-"""End-to-end flow and report rendering."""
+"""End-to-end preset flows through the Session API and report rendering."""
 
 import pytest
 
-from repro.flow import OPTIMIZERS, render_industrial, render_table2, render_table3, run_flow
+from repro.api import PRESET_NAMES, FlowSpec, Session
+from repro.flow import render_industrial, render_table2, render_table3
 from repro.ir import Circuit
 
 
@@ -17,41 +18,45 @@ def _circuit():
     return c.module
 
 
+def _run(module, flow, **kwargs):
+    """One preset over a private clone (sessions optimize in place)."""
+    return Session(module.clone()).run(flow, **kwargs)
+
+
 class TestRunFlow:
     def test_none_optimizer_measures_original(self):
-        m = _circuit()
-        result = run_flow(m, "none")
+        result = _run(_circuit(), "none")
         assert result.optimized_area == result.original_area
         assert result.reduction_vs_original == 0.0
 
     def test_all_optimizers_run_and_reduce(self):
         m = _circuit()
-        areas = {}
-        for opt in OPTIMIZERS:
-            result = run_flow(m, opt)
-            areas[opt] = result.optimized_area
+        areas = {opt: _run(m, opt).optimized_area for opt in PRESET_NAMES}
         assert areas["yosys"] <= areas["none"]
         assert areas["smartly"] <= areas["yosys"]
         assert areas["smartly"] <= areas["smartly-sat"]
         assert areas["smartly"] <= areas["smartly-rebuild"]
 
     def test_flow_does_not_mutate_input(self):
+        """Suite jobs optimize private clones: the caller's module stays
+        untouched."""
         m = _circuit()
         before = m.stats()
-        run_flow(m, "smartly")
+        report = Session().run_suite({"demo": m}, ("smartly",))["demo"][
+            "smartly"]
+        assert report.optimized_area < report.original_area
         assert m.stats() == before
 
     def test_equivalence_check_option(self):
-        m = _circuit()
-        result = run_flow(m, "smartly", check=True)
+        result = _run(_circuit(), "smartly", check=True)
         assert result.equivalence_checked
 
     def test_unknown_optimizer_rejected(self):
-        with pytest.raises(ValueError):
-            run_flow(_circuit(), "magic")
+        with pytest.raises(ValueError, match="unknown optimizer"):
+            _run(_circuit(), FlowSpec.preset("magic"))
 
     def test_pass_stats_recorded(self):
-        result = run_flow(_circuit(), "smartly")
+        result = _run(_circuit(), "smartly")
         assert result.pass_stats
         assert result.runtime_s >= 0
 
@@ -60,7 +65,7 @@ class TestReports:
     def _results(self):
         m = _circuit()
         per = {
-            opt: run_flow(m, opt)
+            opt: _run(m, opt)
             for opt in ("yosys", "smartly-sat", "smartly-rebuild", "smartly")
         }
         return {"wb_conmax": per}
@@ -78,8 +83,6 @@ class TestReports:
 
     def test_industrial_renders(self):
         m = _circuit()
-        results = {
-            "ind_x": {opt: run_flow(m, opt) for opt in ("yosys", "smartly")}
-        }
+        results = {"ind_x": {opt: _run(m, opt) for opt in ("yosys", "smartly")}}
         text = render_industrial(results)
         assert "47.20" in text and "ind_x" in text

@@ -1,14 +1,15 @@
 """Report renderer edge cases."""
 
 from repro.aig.stats import AigStats
-from repro.flow.pipeline import FlowResult
 from repro.flow.reports import render_industrial, render_table2, render_table3
+from repro.flow.session import RunReport
 
 
 def _result(case, optimizer, original, optimized):
-    return FlowResult(
+    return RunReport(
         case_name=case,
-        optimizer=optimizer,
+        flow=optimizer,
+        flow_script=optimizer,
         original_area=original,
         optimized_area=optimized,
         stats=AigStats(1, 1, optimized, 1),

@@ -230,6 +230,17 @@ class TestBadInput:
         (error,) = by_type(responses, "error")
         assert error["id"] == "b" and "bad flow" in error["error"]
 
+    def test_unknown_pass_option_is_a_bad_flow(self):
+        server = FlowServer(max_workers=1)
+        responses, _ = drive(server, [
+            request(op="run", id="b", source=MUX_SOURCE,
+                    flow="opt_expr; smartly bogus_knob=false"),
+        ])
+        (error,) = by_type(responses, "error")
+        assert error["id"] == "b" and error["retryable"] is False
+        assert error["error"].startswith("bad flow: ")
+        assert "'bogus_knob'" in error["error"]
+
     def test_blank_lines_are_ignored(self):
         server = FlowServer(max_workers=1)
         responses, _ = drive(server, ["", "   ", request(op="ping", id="p")])

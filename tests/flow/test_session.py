@@ -13,11 +13,12 @@ from repro.api import (
     Session,
     SmartlyOptions,
 )
-from repro.core.smartly import run_smartly
+from repro.core.smartly import Smartly
 from repro.events import EventLog as TopLevelEventLog
-from repro.flow import render_table2, run_flow
+from repro.flow import render_table2
 from repro.ir import Circuit
-from repro.opt import run_baseline_opt
+from repro.opt import OptClean, OptExpr, OptMerge, run_baseline_opt
+from repro.opt.pass_base import PassManager
 from repro.workloads import build_case
 
 
@@ -32,19 +33,28 @@ def _circuit(name="demo"):
     return c.module
 
 
-def _seed_run_flow(module, optimizer):
-    """The seed repo's run_flow measurement protocol, reimplemented verbatim:
+def _seed_smartly(module, **overrides):
+    """The seed repo's smaRTLy entry point, inlined: cleanup around the
+    Smartly pass, run to a fixpoint directly on a PassManager."""
+    smartly = Smartly(**overrides)
+    PassManager([OptExpr(), OptMerge(), smartly, OptClean()]).run(
+        module, fixpoint=True, max_rounds=smartly.options.max_rounds
+    )
+
+
+def _seed_reference(module, optimizer):
+    """The seed repo's measurement protocol, reimplemented verbatim:
     clone, run the historic pipeline entry points, measure AIG areas."""
     original_area = aig_map(module.clone()).num_ands
     work = module.clone()
     if optimizer == "yosys":
         run_baseline_opt(work)
     elif optimizer == "smartly-sat":
-        run_smartly(work, rebuild=False)
+        _seed_smartly(work, rebuild=False)
     elif optimizer == "smartly-rebuild":
-        run_smartly(work, sat=False)
+        _seed_smartly(work, sat=False)
     elif optimizer == "smartly":
-        run_smartly(work)
+        _seed_smartly(work)
     return original_area, aig_map(work).num_ands
 
 
@@ -68,17 +78,17 @@ class TestPresetEquivalence:
     @pytest.mark.parametrize("case,preset", PRESET_EQUIV_JOBS)
     def test_preset_matches_seed_pipeline(self, workload_modules, case, preset):
         module = workload_modules[case]
-        seed_original, seed_optimized = _seed_run_flow(module, preset)
+        seed_original, seed_optimized = _seed_reference(module, preset)
         report = Session(module.clone()).run(preset)
         assert report.original_area == seed_original
         assert report.optimized_area == seed_optimized
 
-    def test_shim_run_flow_matches_session(self, workload_modules):
+    def test_preset_spec_matches_preset_name(self, workload_modules):
         module = workload_modules["ac97_ctrl"]
-        legacy = run_flow(module, "smartly")
+        by_spec = Session(module.clone()).run(FlowSpec.preset("smartly"))
         report = Session(module.clone()).run("smartly")
-        assert legacy.original_area == report.original_area
-        assert legacy.optimized_area == report.optimized_area
+        assert by_spec.original_area == report.original_area
+        assert by_spec.optimized_area == report.optimized_area
 
 
 class TestSessionBasics:

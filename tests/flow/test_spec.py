@@ -6,7 +6,6 @@ from repro.core.smartly import SmartlyOptions
 from repro.flow import (
     FlowScriptError,
     FlowSpec,
-    OPTIMIZERS,
     PRESET_NAMES,
     PassStep,
     resolve_flow,
@@ -58,6 +57,27 @@ class TestParse:
         with pytest.raises(FlowScriptError):
             FlowSpec.parse("smartly k=")
 
+    @pytest.mark.parametrize("script,pass_name,option,accepts", [
+        ("opt_expr; smartly bogus_knob=false", "smartly", "bogus_knob",
+         "max_conflicts"),
+        ("opt_clean bogus=1", "opt_clean", "bogus", "remove_wires"),
+        ("opt_expr bogus", "opt_expr", "bogus", "no options"),
+    ])
+    def test_unknown_option_rejected_at_parse(
+        self, script, pass_name, option, accepts
+    ):
+        with pytest.raises(FlowScriptError) as excinfo:
+            FlowSpec.parse(script)
+        message = str(excinfo.value)
+        assert repr(pass_name) in message and repr(option) in message
+        assert accepts in message
+
+    def test_smartly_accepts_every_options_field(self):
+        from dataclasses import fields
+
+        for field in fields(SmartlyOptions):
+            FlowSpec.parse(f"smartly {field.name}={field.default}")
+
     @pytest.mark.parametrize("rounds", ["foo", "2.5", "0", "true"])
     def test_fixpoint_rejects_non_integer_rounds(self, rounds):
         with pytest.raises(FlowScriptError):
@@ -94,7 +114,7 @@ class TestRoundTrip:
 
 class TestPresets:
     def test_legacy_names_available(self):
-        assert PRESET_NAMES == OPTIMIZERS == (
+        assert PRESET_NAMES == (
             "none", "yosys", "smartly-sat", "smartly-rebuild", "smartly"
         )
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.aig import aig_map
-from repro.core import SatRedundancy, MuxtreeRestructure, run_smartly
+from repro.api import FlowSpec, Session
+from repro.core import SatRedundancy, MuxtreeRestructure
 from repro.equiv import assert_equivalent
 from repro.frontend import compile_verilog
 from repro.ir import CellType, Circuit
@@ -122,7 +123,7 @@ class TestListings:
     def test_listing1_figure7_rebuild(self):
         m = compile_verilog(LISTING1).top
         gold = m.clone()
-        run_smartly(m)
+        Session(m).run("smartly")
         stats = m.stats()
         assert stats.get("eq", 0) == 0       # eq gates disconnected
         assert stats.get("mux", 0) == 3      # Figure 7: three muxes
@@ -159,7 +160,7 @@ class TestCombinedPipeline:
             if kwargs is None:
                 run_baseline_opt(work)
             else:
-                run_smartly(work, **kwargs)
+                Session(work).run(FlowSpec.preset("smartly", **kwargs))
             assert_equivalent(m, work)
             areas[name] = aig_map(work).num_ands
         assert areas["full"] <= min(areas.values())

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.aig import aig_map
-from repro.core import run_smartly
+from repro.api import Session
 from repro.equiv import assert_equivalent
 from repro.ir import Circuit, validate_module
 from repro.opt import run_baseline_opt
@@ -33,7 +33,7 @@ def _areas(module):
     baseline = module.clone()
     run_baseline_opt(baseline)
     smart = module.clone()
-    run_smartly(smart)
+    Session(smart).run("smartly")
     return orig, aig_map(baseline).num_ands, aig_map(smart).num_ands
 
 
@@ -94,5 +94,5 @@ class TestEquivalence:
     def test_optimizations_preserve_function(self, unit, kwargs):
         m = _build(unit, **kwargs)
         gold = m.clone()
-        run_smartly(m)
+        Session(m).run("smartly")
         assert_equivalent(gold, m)
