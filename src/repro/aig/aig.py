@@ -107,7 +107,7 @@ class AIG:
         if existing is not None:
             return existing
         self._ands.append(key)
-        lit = 2 * (self.num_inputs + len(self._ands))
+        lit = 2 * (len(self.input_names) + len(self._ands))
         self._strash[key] = lit
         return lit
 

@@ -6,7 +6,7 @@ this library uses AIGs: flip-flop boundaries are cut before mapping.
 
 from __future__ import annotations
 
-from typing import List, TextIO, Union
+from typing import Dict, List, TextIO, Union
 
 from .aig import AIG
 
@@ -44,7 +44,17 @@ def aiger_str(aig: AIG) -> str:
 
 
 def read_aiger(source: Union[str, TextIO]) -> AIG:
-    """Parse an ASCII AIGER file (combinational subset, no latches)."""
+    """Parse an ASCII AIGER file (combinational subset, no latches).
+
+    File variables are renumbered into :class:`AIG` order — inputs in
+    declaration order, then AND nodes in file order — so any valid
+    numbering reads back with its declared literals.  AND nodes are kept
+    as written (no folding or re-hashing), preserving the node count.
+    Raises ``ValueError`` for a malformed header or body, a latch, a
+    left-hand side that is odd or out of range, a literal that is
+    undefined, defined twice or used by an AND before its definition, and
+    a header ``M`` smaller than the variables the file defines.
+    """
     if isinstance(source, str):
         lines: List[str] = source.splitlines()
     else:
@@ -57,37 +67,61 @@ def read_aiger(source: Union[str, TextIO]) -> AIG:
     m, i, latches, o, a = (int(x) for x in header[1:6])
     if latches:
         raise ValueError("latches are not supported")
+    if m < i + a:
+        raise ValueError(f"header M={m} is smaller than the {i + a} "
+                         "variables the file defines")
+    if len(lines) < 1 + i + o + a:
+        raise ValueError("AIGER body is shorter than its header declares")
+    #: file variable -> AIG variable (0 is constant false in both)
+    var_map: Dict[int, int] = {0: 0}
+
+    def define(lit: int, var: int) -> None:
+        if lit & 1 or not 2 <= lit <= 2 * m:
+            raise ValueError(
+                f"left-hand side {lit} is not an even literal in 2..{2 * m}"
+            )
+        if lit >> 1 in var_map:
+            raise ValueError(f"literal {lit} is defined twice")
+        var_map[lit >> 1] = var
+
+    def resolve(lit: int, user: str) -> int:
+        var = var_map.get(lit >> 1)
+        if var is None:
+            raise ValueError(
+                f"{user} uses literal {lit}, which is undefined at that point"
+            )
+        return 2 * var + (lit & 1)
+
+    body = lines[1:1 + i + o + a]
+    for k in range(i):
+        define(int(body[k]), k + 1)
+    output_lits = [int(line) for line in body[i:i + o]]
     aig = AIG()
-    pos = 1
-    input_lits = []
-    for _ in range(i):
-        input_lits.append(int(lines[pos]))
-        pos += 1
-    output_lits = []
-    for _ in range(o):
-        output_lits.append(int(lines[pos]))
-        pos += 1
-    # ands must be declared in topological order in valid files
-    for _ in range(a):
-        lhs, f0, f1 = (int(x) for x in lines[pos].split())
-        pos += 1
-        aig._ands.append((min(f0, f1), max(f0, f1)))
-        aig._strash[(min(f0, f1), max(f0, f1))] = lhs
     aig.input_names = [f"i{k}" for k in range(i)]
+    # ANDs must be declared in topological order in valid files
+    for k, line in enumerate(body[i + o:]):
+        fields = line.split()
+        if len(fields) != 3:
+            raise ValueError(f"bad AND line: {line!r}")
+        lhs, f0, f1 = (int(x) for x in fields)
+        r0 = resolve(f0, f"AND {lhs}")
+        r1 = resolve(f1, f"AND {lhs}")
+        define(lhs, i + 1 + k)
+        key = (min(r0, r1), max(r0, r1))
+        aig._ands.append(key)
+        aig._strash.setdefault(key, 2 * (i + 1 + k))
+    outputs = [resolve(lit, f"output {k}") for k, lit in enumerate(output_lits)]
+    output_names = [f"o{k}" for k in range(o)]
     # symbol table
-    for line in lines[pos:]:
-        if line.startswith("i"):
-            idx, name = line[1:].split(" ", 1)
-            aig.input_names[int(idx)] = name
-        elif line.startswith("o"):
+    for line in lines[1 + i + o + a:]:
+        if line.startswith("c"):
+            break
+        if line[:1] in ("i", "o"):
             idx, name = line[1:].split(" ", 1)
             k = int(idx)
-            while len(aig.outputs) <= k:
-                aig.outputs.append((f"o{len(aig.outputs)}", output_lits[len(aig.outputs)]))
-            aig.outputs[k] = (name, output_lits[k])
-        elif line.startswith("c"):
-            break
-    while len(aig.outputs) < o:
-        k = len(aig.outputs)
-        aig.outputs.append((f"o{k}", output_lits[k]))
+            names = aig.input_names if line[0] == "i" else output_names
+            if not 0 <= k < len(names):
+                raise ValueError(f"symbol {line!r} names no declared literal")
+            names[k] = name
+    aig.outputs = list(zip(output_names, outputs))
     return aig

@@ -17,7 +17,7 @@ the paper's "exclude flip-flop gates" accounting.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..ir import celllib
 from ..ir.module import Cell, Module
@@ -53,6 +53,9 @@ class AigMapper(celllib.LoweringEmitter):
 
     def run(self) -> AIG:
         """Map the whole module and register outputs; returns the AIG."""
+        # a live index tolerates transient driver conflicts that a snapshot
+        # build rejects; mapping needs the one-driver view either way
+        self.index.check_consistent()
         self._declare_inputs()
         for cell in self.index.topo_cells():
             spec = celllib.spec_for(cell.type)
@@ -85,15 +88,13 @@ class AigMapper(celllib.LoweringEmitter):
 
     def lit(self, bit: SigBit) -> int:
         cbit = self.index.sigmap.map_bit(bit)
-        if cbit.is_const:
-            if cbit.state is State.S1:
-                return TRUE_LIT
-            # x constants are mapped to 0 (a fixed, documented choice)
-            return FALSE_LIT
         lit = self.bit_lit.get(cbit)
-        if lit is None:
-            raise KeyError(f"bit {cbit!r} mapped before its driver")
-        return lit
+        if lit is not None:
+            return lit
+        if cbit.is_const:
+            # x constants are mapped to 0 (a fixed, documented choice)
+            return TRUE_LIT if cbit.state is State.S1 else FALSE_LIT
+        raise KeyError(f"bit {cbit!r} mapped before its driver")
 
     def port_lits(self, cell: Cell, port: str) -> List[int]:
         return [self.lit(bit) for bit in cell.connections[port]]
@@ -121,24 +122,33 @@ class AigMapper(celllib.LoweringEmitter):
             )
 
 
-def aig_sources(
-    index: NetIndex, boundary_only: bool = False
-) -> List[Tuple[SigBit, str]]:
-    """The AIG inputs of ``index.module``: ``(canonical bit, name)`` pairs.
+class SourceSweep(NamedTuple):
+    """The AIG sources of one module, as :func:`sweep_sources` finds them."""
+
+    #: ``(canonical bit, name)`` pairs in declaration order
+    sources: List[Tuple[SigBit, str]]
+    #: how many leading ``sources`` are boundary sources
+    boundary: int
+    #: :func:`alias_names` of the index when an undriven internal net was
+    #: declared, else empty
+    aliases: Dict[SigBit, List[str]]
+
+
+def sweep_sources(index: NetIndex) -> SourceSweep:
+    """Find the AIG inputs of ``index.module`` in one sweep.
 
     In declaration order: primary inputs, state-cell outputs (every
     registry spec's ``state_ports``), undriven instance binding bits, then
     any other undriven bit read by a cell or an output.  The first three
-    are *boundary* sources (``boundary_only=True`` returns just those).
-    The rest are undriven internal nets, named by the smallest wire bit of
-    their alias class (:func:`alias_names`) rather than by the canonical
-    bit, which passes may re-root.
+    are *boundary* sources.  The rest are undriven internal nets, named by
+    the smallest wire bit of their alias class (:func:`alias_names`)
+    rather than by the canonical bit, which passes may re-root.
     """
     module = index.module
     sigmap = index.sigmap
     sources: List[Tuple[SigBit, str]] = []
     declared = set()
-    classes: Dict[SigBit, List[str]] = {}
+    aliases: Dict[SigBit, List[str]] = {}
 
     def declare(bit: SigBit, name: Optional[str] = None) -> None:
         cbit = sigmap.map_bit(bit)
@@ -147,9 +157,9 @@ def aig_sources(
         if index.comb_driver(cbit) is None:
             declared.add(cbit)
             if name is None:
-                if not classes:
-                    classes.update(alias_names(index))
-                name = classes.get(cbit, [repr(cbit)])[0]
+                if not aliases:
+                    aliases.update(alias_names(index))
+                name = aliases.get(cbit, [repr(cbit)])[0]
             sources.append((cbit, name))
 
     for wire in module.wires.values():
@@ -166,17 +176,29 @@ def aig_sources(
         for pname in sorted(instance.connections):
             for i, bit in enumerate(instance.connections[pname]):
                 declare(bit, f"{instance.name}.{pname}[{i}]")
-    if boundary_only:
-        return sources
-    # any remaining undriven bits read by cells or outputs
-    for cell in module.cells.values():
-        for pname in celllib.spec_for(cell.type).input_ports:
-            for bit in cell.connections[pname]:
-                declare(bit)
-    for wire in module.outputs:
-        for i in range(wire.width):
-            declare(SigBit(wire, i))
-    return sources
+    boundary = len(sources)
+    # undriven internal nets are rare, so first test with set algebra on
+    # the index whether any read or observed bit lacks a driver; only then
+    # walk every cell input and output bit, which fixes the declaration
+    # order (dff outputs are drivers here but were declared above)
+    driven = index.driver.keys()
+    candidates = (index.readers.keys() - driven) | (index.output_bits - driven)
+    candidates -= declared
+    if any(not bit.is_const for bit in candidates):
+        for cell in module.cells.values():
+            for pname in celllib.spec_for(cell.type).input_ports:
+                for bit in cell.connections[pname]:
+                    declare(bit)
+        for wire in module.outputs:
+            for i in range(wire.width):
+                declare(SigBit(wire, i))
+    return SourceSweep(sources, boundary, aliases)
+
+
+def aig_sources(index: NetIndex) -> List[Tuple[SigBit, str]]:
+    """The AIG inputs of ``index.module``: ``(canonical bit, name)`` pairs
+    in :func:`sweep_sources` declaration order."""
+    return sweep_sources(index).sources
 
 
 def alias_names(index: NetIndex) -> Dict[SigBit, List[str]]:

@@ -16,10 +16,10 @@ keep registers in place.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..aig.aig import AIG
-from ..aig.aigmap import AigMapper, aig_sources, alias_names
+from ..aig.aigmap import AigMapper, sweep_sources
 from ..ir.module import Module
 from ..ir.walker import NetIndex
 
@@ -42,7 +42,7 @@ def build_miter(gold: Module, gate: Module) -> Tuple[AIG, int]:
     :class:`PortMismatchError` when I/O signatures differ.  Every source
     of both modules is declared before the first AND node.  Boundary
     sources (ports, state-cell outputs, undriven instance bindings; see
-    :func:`~repro.aig.aigmap.aig_sources`) are shared by name, so
+    :func:`~repro.aig.aigmap.sweep_sources`) are shared by name, so
     identical logic reading them compares one free variable, never two
     that spuriously differ.  An undriven internal net of the gate shares
     the gold net whose alias class has a wire-bit name in common with its
@@ -69,18 +69,15 @@ def build_miter(gold: Module, gate: Module) -> Tuple[AIG, int]:
     claimed: Set[int] = set()  # gold nets already shared with the gate
     input_lits: List[Dict[str, int]] = []
     for index in (gold_index, gate_index):
-        n_boundary = len(aig_sources(index, boundary_only=True))
-        names: Optional[Dict] = None
+        sweep = sweep_sources(index)
         lits: Dict[str, int] = {}
-        for position, (bit, name) in enumerate(aig_sources(index)):
-            if position < n_boundary:
+        for position, (bit, name) in enumerate(sweep.sources):
+            if position < sweep.boundary:
                 if name not in boundary:
                     boundary[name] = aig.add_input(name)
                 lits[name] = boundary[name]
                 continue
-            if names is None:
-                names = alias_names(index)
-            members = names.get(bit, [name])
+            members = sweep.aliases.get(bit, [name])
             if index is gold_index:
                 lits[name] = aig.add_input(name)
                 gold_nets.update(dict.fromkeys(members, lits[name]))

@@ -82,6 +82,13 @@ def _aggregate_oracle_stats(pass_stats: Mapping[str, int]) -> Dict[str, int]:
     return totals
 
 
+def _mapping_index(module: Module, incremental: bool):
+    """The index ``aig_map`` maps ``module`` on: the live index, shared
+    with the incremental flow, or ``None`` (a throwaway snapshot) for the
+    eager reference path, which must not depend on live-index upkeep."""
+    return module.net_index() if incremental else None
+
+
 def _pending_recorder(result: PassResult) -> Callable[[ModuleEdit], None]:
     """Conservative touch recorder for *between-run* user edits.
 
@@ -344,8 +351,11 @@ class Session:
     """Owns a design, a tuning-options object, and an event channel.
 
     The session caches each module's pre-optimization AIG baseline the
-    first time it is needed (``aig_map`` never mutates the module, so the
-    baseline is computed directly on the working copy — no clone).
+    first time it is needed (``aig_map`` never mutates the module, so no
+    clone is taken).  Incremental runs map the baseline on the module's
+    live :class:`~repro.ir.walker.NetIndex`, which the flow then reuses,
+    and map the optimized result on the same, still-current index; eager
+    runs map on throwaway snapshots.
     Flows then mutate the session's modules in place, Yosys-style; clone
     before constructing the session if the caller's module must stay
     pristine.
@@ -600,10 +610,22 @@ class Session:
     # -- baselines -------------------------------------------------------------
 
     def baseline_area(self, module: Optional[str] = None) -> int:
-        """Pre-optimization AIG area, cached per module name."""
-        mod = self._module(module)
+        """Pre-optimization AIG area, cached per module name.
+
+        Under the incremental engine the module is mapped on its live
+        :class:`~repro.ir.walker.NetIndex`, which the flow that follows
+        then reuses instead of building its own; eager sessions map on a
+        throwaway snapshot and never create a live index.
+        """
+        return self._baseline_area(
+            self._module(module), self.engine == "incremental"
+        )
+
+    def _baseline_area(self, mod: Module, incremental: bool) -> int:
         if mod.name not in self._baselines:
-            self._baselines[mod.name] = aig_map(mod).num_ands
+            self._baselines[mod.name] = aig_map(
+                mod, _mapping_index(mod, incremental)
+            ).num_ands
         return self._baselines[mod.name]
 
     # -- running flows ---------------------------------------------------------
@@ -648,8 +670,8 @@ class Session:
             )
         spec = resolve_flow(flow, options=self.options)
         mod = self._module(module)
-        original_area = self.baseline_area(mod.name)
         incremental = engine == "incremental"
+        original_area = self._baseline_area(mod, incremental)
         # design-scope bookkeeping requires an attached design listener
         track = incremental and not self._closed
         state_key = (mod.name, spec)
@@ -710,7 +732,7 @@ class Session:
                 self._restart_pending(mod.name)
                 self._flow_states.pop(state_key, None)
         runtime = time.perf_counter() - start
-        stats = aig_stats(aig_map(mod))
+        stats = aig_stats(aig_map(mod, _mapping_index(mod, incremental)))
         checked = False
         if golden is not None:
             result = check_equivalence(
@@ -915,7 +937,9 @@ class Session:
             # grouping must happen before any pass touches the module
             sig = module_signature(mod, child_signatures=child_sigs)
             child_sigs[name] = sig
-            original_area = self.baseline_area(name)
+            original_area = self._baseline_area(
+                mod, engine == "incremental"
+            )
             # same key layout as _run_suite_job, so hierarchy runs and
             # suite jobs share stored reports (instance-free modules
             # have identical flat and hierarchical signatures)

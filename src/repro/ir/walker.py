@@ -514,6 +514,8 @@ class NetIndex:
     def _compute_topo(self) -> List[Cell]:
         order: List[Cell] = []
         state: Dict[str, int] = {}  # 0 = visiting, 1 = done
+        driver = self.driver
+        conflicts = self._extra_drivers
 
         comb_cells = [c for c in self.module.cells.values() if c.is_combinational]
         for root in comb_cells:
@@ -527,9 +529,14 @@ class NetIndex:
                 cell, it = stack[-1]
                 advanced = False
                 for bit in it:
-                    dep = self.comb_driver(bit)
-                    if dep is None:
+                    # fanin bits are canonical: probe the driver map
+                    # directly (comb_driver without its map_bit)
+                    if conflicts and bit in conflicts:
+                        self.driver_cell(bit)  # raises the conflict
+                    entry = driver.get(bit)
+                    if entry is None or entry[0].type is CellType.DFF:
                         continue
+                    dep = entry[0]
                     dep_state = state.get(dep.name)
                     if dep_state == 0:
                         raise CombLoopError(

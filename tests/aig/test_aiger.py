@@ -60,3 +60,41 @@ def test_reader_rejects_bad_header():
         read_aiger("not an aiger file")
     with pytest.raises(ValueError):
         read_aiger("")
+
+
+#: inputs declared out of variable order: i0 is literal 4, i1 literal 2
+SWAPPED_INPUTS = "aag 3 2 0 1 1\n4\n2\n6\n6 4 3\ni0 a\ni1 b\no0 y\n"
+
+
+def test_reader_binds_declared_input_literals():
+    aig = read_aiger(SWAPPED_INPUTS)
+    assert aig.input_names == ["a", "b"]
+    for a in (0, 1):
+        for b in (0, 1):
+            assert aig.eval_outputs([a, b]) == [a & (1 - b)]  # y = a & !b
+
+
+def test_reader_renumbers_sparse_and_variables():
+    # variable 3 is unused; the AND is variable 4
+    aig = read_aiger("aag 4 2 0 1 1\n2\n4\n8\n8 2 4\n")
+    assert aig.num_ands == 1
+    for a in (0, 1):
+        for b in (0, 1):
+            assert aig.eval_outputs([a, b]) == [a & b]
+
+
+@pytest.mark.parametrize("text", [
+    "aag 3 2 0 1 1\n2\n4\n8\n6 2 4\n",        # output literal undefined
+    "aag 3 2 0 1 1\n2\n2\n6\n6 2 4\n",        # input defined twice
+    "aag 4 2 0 1 2\n2\n4\n6\n6 2 4\n6 2 5\n",  # AND defined twice
+    "aag 3 2 0 1 1\n2\n4\n6\n4 2 2\n",        # AND redefines an input
+    "aag 4 2 0 1 2\n2\n4\n6\n6 2 8\n8 2 4\n",  # fanin defined after its AND
+    "aag 3 2 0 1 1\n2\n4\n7\n7 2 4\n",        # odd left-hand side
+    "aag 3 2 0 1 1\n2\n4\n8\n8 2 4\n",        # left-hand side beyond M
+    "aag 2 2 0 1 1\n2\n4\n6\n6 2 4\n",        # M below I + A
+    "aag 3 2 0 1 1\n2\n4\n6\n",               # truncated body
+    "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni2 c\n",  # symbol for no input
+])
+def test_reader_rejects_malformed_literals(text):
+    with pytest.raises(ValueError):
+        read_aiger(text)

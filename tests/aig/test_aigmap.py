@@ -5,9 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Session
 from repro.ir import CellType, Circuit, SigBit
-from repro.aig import AigMapper, aig_map, aig_stats
+from repro.ir.walker import NetIndex
+from repro.aig import AigMapper, aig_map, aig_stats, aiger_str
+from repro.aig.aigmap import aig_sources
 from repro.sim import Simulator
+from repro.workloads import CASE_NAMES, INDUSTRIAL_POINTS, build_case, build_point
 from tests.conftest import random_circuit
 
 
@@ -132,3 +136,79 @@ def test_aig_map_does_not_mutate_module():
     before = (module.stats(), sorted(module.cells), sorted(module.wires))
     aig_map(module)
     assert (module.stats(), sorted(module.cells), sorted(module.wires)) == before
+
+
+# -- mapping on a module's live NetIndex ----------------------------------------
+
+#: the two industrial points the repository benchmark times, at its width
+INDUSTRIAL = ("ind_selector_0", "ind_arbiter")
+
+
+def _build_model(name):
+    if name in INDUSTRIAL:
+        points = {p.name: p for p in INDUSTRIAL_POINTS}
+        return build_point(points[name], width=5)
+    return build_case(name)
+
+
+def _assert_live_map_identical(module):
+    live = aig_map(module, module.net_index())
+    snapshot = aig_map(module)
+    assert live.input_names == snapshot.input_names
+    assert aiger_str(live) == aiger_str(snapshot)  # AND table and outputs
+    assert live.structural_digest() == snapshot.structural_digest()
+
+
+@pytest.mark.parametrize("name", list(CASE_NAMES) + list(INDUSTRIAL))
+def test_live_index_mapping_is_identical_to_snapshot(name):
+    """Sessions map baselines and results on the live index the flow
+    maintains; the AIG must equal a fresh-snapshot mapping byte for byte
+    both before the flow and after it edited the module in place."""
+    module = _build_model(name)
+    _assert_live_map_identical(module)
+    Session(module).run("smartly")
+    _assert_live_map_identical(module)
+
+
+def _assert_sources_match_snapshot(module, expect):
+    """``expect``: the signals whose bits must be the sources, in order."""
+    index = module.net_index()
+    live = aig_sources(index)
+    assert live == aig_sources(NetIndex(module))
+    assert [bit for bit, _name in live] == [
+        index.canonical(bit) for spec in expect for bit in spec
+    ]
+    _assert_live_map_identical(module)
+
+
+def test_undriven_internal_net_read_by_a_cell_is_declared():
+    c = Circuit("t")
+    a = c.input("a", 2)
+    module = c.module
+    module.net_index()  # the live index follows every later edit
+    u = c.wire("u", 2)
+    c.output("y", c.and_(a, u))
+    _assert_sources_match_snapshot(module, [a, u])
+
+
+def test_undriven_output_bit_is_declared():
+    c = Circuit("t")
+    a = c.input("a", 2)
+    module = c.module
+    module.net_index()
+    c.output("y", c.not_(a))
+    z = c.output("z", width=2)  # never driven
+    _assert_sources_match_snapshot(module, [a, z])
+
+
+def test_removed_driver_leaves_a_declared_source():
+    c = Circuit("t")
+    a, b = c.input("a", 2), c.input("b", 2)
+    t = c.wire("t", 2)
+    c.module.connect(t, c.not_(a))
+    c.output("y", c.and_(t, b))
+    module = c.module
+    module.net_index()
+    (inverter,) = module.cells_of_type(CellType.NOT)
+    module.remove_cell(inverter)
+    _assert_sources_match_snapshot(module, [a, b, t])
