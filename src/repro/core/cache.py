@@ -44,7 +44,7 @@ not grow with session lifetime.
 from __future__ import annotations
 
 import threading
-from typing import Any, Container, Dict, Mapping, Optional, Tuple
+from typing import Any, Container, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..ir.struct_hash import StructKeyMemo
 
@@ -92,6 +92,7 @@ class ResultCache:
         subgraph: Any,
         extra: Tuple = (),
         sigmap: Any = None,
+        roots: Optional[Sequence] = None,
     ) -> Tuple:
         """The memo key of one analysis over one sub-graph.
 
@@ -99,11 +100,15 @@ class ResultCache:
         carries analysis parameters that change the answer (budgets,
         thresholds); the sub-graph itself contributes its canonical
         name-free signature (``sigmap`` resolves raw connection bits
-        exactly like the analyses do).
+        exactly like the analyses do).  ``roots`` replaces the sub-graph's
+        target with several query bits answered together (a data
+        operand word); callers put the root count in ``extra`` so a word
+        key never equals a single-target key.
         """
         signature = self.struct_memo.signature(
-            subgraph.cells, subgraph.target, subgraph.known,
-            inputs=subgraph.inputs, sigmap=sigmap,
+            subgraph.cells,
+            subgraph.target if roots is None else roots,
+            subgraph.known, inputs=subgraph.inputs, sigmap=sigmap,
         )
         return (kind, signature, extra)
 

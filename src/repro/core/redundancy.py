@@ -39,12 +39,16 @@ from .cache import ResultCache
 from .inference import infer
 from .subgraph import SubGraph, extract_subgraph
 
-_FactsKey = Tuple[SigBit, FrozenSet[Tuple[SigBit, bool]]]
-
-
 @register_pass
 class SatRedundancy(OptMuxtree):
     """Muxtree pruning with logic inferencing over sub-graphs + SAT.
+
+    Control bits run the whole inference → simulation → SAT ladder, one
+    distance-``k`` sub-graph per bit.  Mux *data* operands are answered a
+    word at a time (:meth:`_resolve_data_word`): the undecided bits of one
+    operand are grouped by the cells next to them, and each group costs
+    one distance-``data_k`` sub-graph, one ``resolve`` lookup and one
+    Table-I inference, with exactly the per-bit decisions and counters.
 
     SAT queries go through a persistent :class:`~repro.sat.oracle.SatOracle`
     (``use_oracle=True``, the default): sub-graph CNF is encoded once per
@@ -91,7 +95,6 @@ class SatRedundancy(OptMuxtree):
         #: Smartly wrapper, or a whole Session) can share one instance
         #: across rounds, runs and modules
         self._result_cache = result_cache
-        self._data_cache: Dict[_FactsKey, Optional[bool]] = {}
         self._sat_time = 0.0
         self._generation_open = False
         #: a cell edit can change the verdict of any control whose
@@ -122,7 +125,6 @@ class SatRedundancy(OptMuxtree):
         )
 
     def _with_oracle(self, module: Module, result: PassResult, body) -> None:
-        self._data_cache.clear()
         self._sat_time = 0.0
         self._generation_open = False
         oracle_base: Optional[Dict[str, int]] = None
@@ -181,25 +183,130 @@ class SatRedundancy(OptMuxtree):
             return None  # x constant: undecidable by design
         return self._deep_resolve(cbit, facts, self.k, allow_solvers=True)
 
-    def _resolve_data_value(self, bit, facts):
-        direct = self._bit_value(bit, facts)
-        if direct is not None:
-            return direct
+    def _resolve_data_word(self, bits, facts):
+        """Decide one data operand word with one query per group of bits.
+
+        Bits a direct fact decides are answered as in the baseline.  Every
+        other bit with a combinational driver is grouped by ``(driver
+        name, names of its combinational readers)``, and each group costs
+        one sub-graph extraction, one signature, one ``resolve`` lookup
+        and one inference.  A bit repeated in the word is resolved once
+        and its value written to every position.  The grouping gives
+        exactly the per-bit answers, because:
+
+        * With no ``max_gates`` cap hit, the distance-``data_k`` BFS of
+          :func:`extract_subgraph` around a bit ``t`` depends only on
+          ``N0(t)``, the comb driver of ``t`` plus its comb readers: the
+          first hop visits exactly ``N0(t)``, ``t`` is itself a bit of
+          ``N0(t)``, so the later frontiers, ``seen_bits`` and
+          ``gates_before`` are the same for every bit of the group.
+        * The Theorem II.1 reduction walks from ``t`` to its driver ``D``
+          and then through *all* of ``D``'s input bits, so every bit
+          driven by ``D`` keeps the same cells in the same topological
+          order, with the same free inputs, ``known`` and
+          ``gates_after``.
+        * :func:`infer` never reads the target; only ``value_of(t)``
+          does.  One inference over the group's sub-graph therefore
+          yields each member's value, and a contradiction is a
+          contradiction for all of them.
+
+        When the representative's extraction hits the cap, the BFS
+        depends on its visiting order, so that group falls back to one
+        :meth:`_deep_resolve` per bit.  Counters are noted per bit as the
+        per-bit query would (``subgraph_gates_*`` per bit, then
+        ``data_inferred`` or ``dead_paths``).
+        """
+        values = [self._bit_value(bit, facts) for bit in bits]
         if not self.data_inference or not facts:
-            return None
-        cbit = self.sigmap.map_bit(bit)
-        if cbit.is_const:
-            return None
-        if self.index.comb_driver(cbit) is None:
-            # a free source bit can only be decided by a direct fact
-            # (handled above); skip the expensive sub-graph machinery
-            return None
-        key = (cbit, frozenset(facts.items()))
-        if key in self._data_cache:
-            return self._data_cache[key]
-        value = self._deep_resolve(cbit, facts, self.data_k, allow_solvers=False)
-        self._data_cache[key] = value
-        return value
+            return values
+        index = self.index
+        map_bit = self.sigmap.map_bit
+        positions: Dict[SigBit, List[int]] = {}
+        groups: Dict[Tuple[str, FrozenSet[str]], List[SigBit]] = {}
+        for pos, bit in enumerate(bits):
+            if values[pos] is not None:
+                continue
+            cbit = map_bit(bit)
+            if cbit in positions:
+                positions[cbit].append(pos)
+                continue
+            driver = index.comb_driver(cbit)
+            if driver is None:
+                # a free source bit can only be decided by a direct fact
+                # (handled above); skip the expensive sub-graph machinery
+                continue
+            positions[cbit] = [pos]
+            readers = frozenset(
+                reader.name
+                for reader, _port, _off in index.readers.get(cbit, ())
+                if reader.is_combinational
+            )
+            groups.setdefault((driver.name, readers), []).append(cbit)
+        for members in groups.values():
+            for cbit, value in zip(
+                members, self._resolve_data_group(members, facts)
+            ):
+                for pos in positions[cbit]:
+                    values[pos] = value
+        return values
+
+    def _resolve_data_group(
+        self, members: List[SigBit], facts: Dict[SigBit, bool]
+    ) -> List[Optional[bool]]:
+        """One inference for data bits that share a sub-graph (see
+        :meth:`_resolve_data_word`); one value per member."""
+        subgraph = extract_subgraph(
+            self.index, members[0], facts, k=self.data_k,
+            max_gates=self.max_gates,
+        )
+        if subgraph.gates_before >= self.max_gates:
+            # a capped BFS depends on its visiting order: ask per bit
+            return [
+                self._resolve_subgraph(subgraph, facts, allow_solvers=False)
+            ] + [
+                self._deep_resolve(
+                    cbit, facts, self.data_k, allow_solvers=False
+                )
+                for cbit in members[1:]
+            ]
+        cache = self._result_cache
+        key = None
+        hit = False
+        if cache is not None:
+            # the root count in extra keeps word entries apart from
+            # single-target resolve entries over the same sub-graph
+            key = cache.key_for(
+                "resolve", subgraph,
+                extra=(
+                    False, self.sim_threshold, self.sat_threshold,
+                    self.max_conflicts, True, len(members),
+                ),
+                sigmap=self.sigmap, roots=members,
+            )
+            hit, outcome = cache.lookup(key)
+        if not hit:
+            inference = infer(subgraph, self.index, subgraph.known)
+            values: List[Optional[bool]] = []
+            notes: List[Tuple[str, int]] = []
+            for cbit in members:
+                notes.append(("subgraph_gates_before", subgraph.gates_before))
+                notes.append(("subgraph_gates_after", subgraph.gates_after))
+                if inference.contradiction:
+                    # path never active: either branch sound
+                    notes.append(("dead_paths", 1))
+                    values.append(False)
+                    continue
+                value = inference.value_of(cbit)
+                if value is not None:
+                    notes.append(("data_inferred", 1))
+                values.append(value)
+            outcome = (tuple(values), tuple(notes))
+            if key is not None:
+                cache.store(key, outcome)
+        values, notes = outcome
+        for name, amount in notes:
+            self.result.note(name, amount)
+        return list(values)
 
     # -- the inference / simulation / SAT ladder ---------------------------------------
 
@@ -213,6 +320,14 @@ class SatRedundancy(OptMuxtree):
         subgraph = extract_subgraph(
             self.index, target, facts, k=k, max_gates=self.max_gates
         )
+        return self._resolve_subgraph(subgraph, facts, allow_solvers)
+
+    def _resolve_subgraph(
+        self,
+        subgraph: SubGraph,
+        facts: Dict[SigBit, bool],
+        allow_solvers: bool,
+    ) -> Optional[bool]:
         cache = self._result_cache
         if cache is None:
             # reference path: run the ladder directly

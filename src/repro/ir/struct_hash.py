@@ -57,7 +57,7 @@ paths otherwise lean on), used by the property tests and
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .cells import input_ports, output_ports
 from .module import Cell, Instance, Module, SigMap
@@ -458,7 +458,7 @@ class StructKeyMemo:
     """Bounded labeling memo: one canonicalization per sub-graph state.
 
     Keyed by the cheap identity tuple — ``(cell name, version)`` pairs,
-    the canonical target, the free-input list and the fact *bits* (not
+    the canonical root bits, the free-input list and the fact *bits* (not
     values) — exactly the boundary the PR 2/PR 4 invalidation argument
     proves to determine the sub-graph's content: any rewire bumps a
     version, and any alias re-canonicalisation that changes the structure
@@ -504,16 +504,24 @@ class StructKeyMemo:
     def signature(
         self,
         cells: Sequence[Cell],
-        target: SigBit,
+        roots: Union[SigBit, Sequence[SigBit]],
         known: Dict[SigBit, bool],
         inputs: Sequence[SigBit] = (),
         sigmap: Optional[SigMap] = None,
     ) -> StructSignature:
-        """The structural signature, with the labeling phase memoized."""
+        """The structural signature, with the labeling phase memoized.
+
+        ``roots`` is the query bit, or a sequence of query bits asked
+        together over one sub-graph (the bits of one mux data operand
+        word); their operand encodings fold into the core in the given
+        order.  A single bit signs exactly like :func:`struct_signature`.
+        """
         mapb = sigmap.map_bit if sigmap is not None else _identity_map
+        if isinstance(roots, SigBit):
+            roots = (roots,)
         ident = (
             tuple((cell.name, cell.version) for cell in cells),
-            mapb(target),
+            tuple(mapb(root) for root in roots),
             tuple(inputs),
             frozenset(known),
         )
@@ -522,9 +530,7 @@ class StructKeyMemo:
             self.hits += 1
         else:
             self.misses += 1
-            digest, canon, _core_mapb = _canonicalize(
-                cells, (target,), sigmap
-            )
+            digest, canon, _core_mapb = _canonicalize(cells, roots, sigmap)
             core = (digest, self._fold_table(canon))
             if len(self._cores) >= self.max_entries:
                 for stale in list(self._cores)[: self.max_entries // 2]:
@@ -540,7 +546,8 @@ class StructKeyMemo:
             if operand is None:
                 # a fact outside the labeled sub-graph: never produced by
                 # the extraction paths — recompute fresh, do not share
-                return struct_signature(cells, target, known, sigmap)
+                fresh, canon, mapb = _canonicalize(cells, roots, sigmap)
+                return _fold_facts(fresh, canon, mapb, known)
             fold.append((operand, bool(value)))
         return hashlib.blake2b(
             repr((digest, tuple(sorted(fold)))).encode("utf-8"),

@@ -496,25 +496,27 @@ class OptMuxtree(Pass):
         inference/simulation/SAT (:mod:`repro.core.redundancy`)."""
         return self._bit_value(bit, facts)
 
-    def _resolve_data_value(
-        self, bit: SigBit, facts: Dict[SigBit, bool]
-    ) -> Optional[bool]:
-        """Decide a data-port bit's value on this path (Figure 2)."""
-        return self._bit_value(bit, facts)
+    def _resolve_data_word(
+        self, bits: List[SigBit], facts: Dict[SigBit, bool]
+    ) -> List[Optional[bool]]:
+        """Decide the non-constant bits of one data operand word on this
+        path (Figure 2), one value (or None) per bit.  The baseline only
+        knows identical signals; smaRTLy answers the undecided bits with
+        one inference per group of bits (:mod:`repro.core.redundancy`)."""
+        return [self._bit_value(bit, facts) for bit in bits]
 
     def _substitute(self, spec: SigSpec, facts: Dict[SigBit, bool]) -> Tuple[SigSpec, int]:
         """Replace known control bits inside a data spec with constants."""
-        new_bits: List[SigBit] = []
+        new_bits: List[SigBit] = list(spec)
+        live = [
+            pos for pos, bit in enumerate(new_bits)
+            if not self.sigmap.map_bit(bit).is_const
+        ]
+        values = self._resolve_data_word([new_bits[pos] for pos in live], facts)
         substituted = 0
-        for bit in spec:
-            if self.sigmap.map_bit(bit).is_const:
-                new_bits.append(bit)
-                continue
-            value = self._resolve_data_value(bit, facts)
-            if value is None:
-                new_bits.append(bit)
-            else:
-                new_bits.append(BIT1 if value else BIT0)
+        for pos, value in zip(live, values):
+            if value is not None:
+                new_bits[pos] = BIT1 if value else BIT0
                 substituted += 1
         return SigSpec(new_bits), substituted
 
